@@ -31,10 +31,6 @@ from .search import SearchBudget, Witness, u_minus, u_upper, verify_witness
 from .surfaces import ak_min_genus, crosscap_alt
 
 
-def _load_entries(path: str):
-    return ingest_table(path)
-
-
 def _load_one(spec: str) -> tuple[str, CurveMap]:
     if ":" not in spec:
         raise SpliceCapError(f"expected <file>:<name>, got {spec!r}")
@@ -50,13 +46,13 @@ def _emit_record(name: str, m: CurveMap) -> None:
 
 
 def cmd_canon(args) -> None:
-    for entry in _load_entries(args.file):
+    for entry in ingest_table(args.file):
         print(f"{entry.name}: {entry.map.canonical_key.decode()}")
 
 
 def cmd_u_minus(args) -> None:
     blocks = []
-    for entry in _load_entries(args.file):
+    for entry in ingest_table(args.file):
         value, witness = u_minus(entry.map)
         print(f"{entry.name}: u- = {value}")
         blocks.append((entry.name, witness))
@@ -69,7 +65,7 @@ def cmd_u_minus(args) -> None:
 
 
 def cmd_u_upper(args) -> None:
-    for entry in _load_entries(args.file):
+    for entry in ingest_table(args.file):
         budget = None
         if args.max_crossings or args.max_cost is not None or args.max_nodes:
             value, _ = u_minus(entry.map)
@@ -85,7 +81,7 @@ def cmd_u_upper(args) -> None:
 
 def _surface_csv(args) -> None:
     print("name,n,chi_max,nonorientable_at_max,crosscap,genus")
-    for entry in _load_entries(args.file):
+    for entry in ingest_table(args.file):
         r = ak_min_genus(entry.map)
         crosscap = crosscap_alt(entry.map)
         print(
@@ -95,7 +91,7 @@ def _surface_csv(args) -> None:
 
 
 def cmd_classify(args) -> None:
-    for entry in _load_entries(args.file):
+    for entry in ingest_table(args.file):
         print(f"{entry.name}: {classify_projection(entry.map)}")
 
 
@@ -198,11 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int)
     p.set_defaults(func=cmd_u_upper)
 
-    p = sub.add_parser("crosscap", help="state-surface crosscap CSV")
-    p.add_argument("file")
-    p.set_defaults(func=_surface_csv)
-
-    p = sub.add_parser("genus", help="state-surface genus CSV")
+    p = sub.add_parser(
+        "crosscap", aliases=["genus"], help="state-surface crosscap and genus CSV"
+    )
     p.add_argument("file")
     p.set_defaults(func=_surface_csv)
 

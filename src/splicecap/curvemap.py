@@ -49,14 +49,24 @@ def rot_inv(d: int) -> int:
     return (d & ~3) | ((d - 1) & 3)
 
 
-def rot2(d: int) -> int:
-    """Straight through the crossing: the opposite slot."""
-    return (d & ~3) | ((d + 2) & 3)
-
-
 def label_sort_key(label: str) -> tuple:
     """Natural order: numeric labels numerically, others lexicographically."""
     return (0, int(label), "") if label.isdigit() else (1, 0, label)
+
+
+def dense_opp(opp, crossings) -> list[int]:
+    """The edge involution on the darts of ``crossings``, renumbered so that
+    ``crossings[j]`` owns darts ``4j .. 4j+3``.
+
+    Every dart of ``crossings`` must pair with a dart of ``crossings``.
+    """
+    dense = {c: j for j, c in enumerate(crossings)}
+    out = [0] * (4 * len(crossings))
+    for j, c in enumerate(crossings):
+        for s in range(4):
+            e = opp[4 * c + s]
+            out[4 * j + s] = 4 * dense[e >> 2] + (e & 3)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,78 +204,60 @@ class CurveMap:
     # -- construction helpers ------------------------------------------------
 
     def _check_spherical(self) -> None:
-        for crossings in self.graph_components:
-            darts = [4 * c + s for c in crossings for s in range(4)]
-            f = 0
-            seen = set()
-            for d in darts:
-                if d in seen:
-                    continue
-                f += 1
-                while d not in seen:
-                    seen.add(d)
-                    d = rot(self.opp[d])
-            v = len(crossings)
-            if v - 2 * v + f != 2:
-                raise NotRealizable(
-                    f"connected sub-map has V-E+F = {v - 2 * v + f}, expected 2"
-                )
+        # a connected sub-map has V - E + F = 2 - 2g <= 2, so the total
+        # reaches two per sub-map only if every one of them is spherical
+        k = len(self.graph_components)
+        euler = self.n - 2 * self.n + len(self.face_orbits)
+        if euler != 2 * k:
+            raise NotRealizable(
+                f"V-E+F = {euler} over {k} connected sub-map(s), expected {2 * k}"
+            )
 
     # -- basic structure -----------------------------------------------------
 
     @cached_property
     def graph_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying 4-valent graph (crossing sets)."""
+        opp = self.opp
+        seen = [False] * self.n
         comps = []
-        unseen = set(range(self.n))
-        while unseen:
-            start = min(unseen)
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            seen[start] = True
             stack = [start]
-            comp = {start}
-            unseen.discard(start)
+            comp = [start]
             while stack:
                 c = stack.pop()
-                for s in range(4):
-                    c2 = self.opp[4 * c + s] >> 2
-                    if c2 in unseen:
-                        unseen.discard(c2)
-                        comp.add(c2)
+                for e in opp[4 * c : 4 * c + 4]:
+                    c2 = e >> 2
+                    if not seen[c2]:
+                        seen[c2] = True
+                        comp.append(c2)
                         stack.append(c2)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
     @cached_property
-    def circuits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the traversal successor ``d -> rot2(opp(d))``.
-
-        Each closed curve yields two orbits, one per traversal direction;
-        orbit entries are exit darts in traversal order.
-        """
-        orbits = []
-        seen = [False] * (4 * self.n)
-        for d0 in range(4 * self.n):
+    def curve_components(self) -> tuple[tuple[int, ...], ...]:
+        """One traversal circuit per closed curve, as exit darts in traversal
+        order: cross the edge (``opp``), then go straight through the
+        crossing.  Each circuit starts at its curve's least dart."""
+        opp = self.opp
+        seen = [False] * len(opp)
+        chosen = []
+        for d0 in range(len(opp)):
             if seen[d0]:
                 continue
             orbit = []
             d = d0
             while not seen[d]:
-                seen[d] = True
+                e = opp[d]
+                # the reverse direction leaves through exactly the opp-partners
+                seen[d] = seen[e] = True
                 orbit.append(d)
-                d = rot2(self.opp[d])
-            orbits.append(tuple(orbit))
-        return tuple(orbits)
-
-    @cached_property
-    def curve_components(self) -> tuple[tuple[int, ...], ...]:
-        """One traversal circuit per closed curve (the direction with the least dart)."""
-        chosen = []
-        claimed = set()
-        for orbit in self.circuits:
-            if orbit[0] in claimed:
-                continue
-            # the reverse direction uses exactly the opp-partners as exit darts
-            claimed.update(self.opp[d] for d in orbit)
-            chosen.append(orbit)
+                d = (e & ~3) | ((e + 2) & 3)
+            chosen.append(tuple(orbit))
         return tuple(chosen)
 
     @cached_property
@@ -279,9 +271,11 @@ class CurveMap:
 
     @cached_property
     def face_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of the face permutation ``d -> rot(opp(d))``."""
+        opp = self.opp
+        seen = [False] * len(opp)
         orbits = []
-        seen = [False] * (4 * self.n)
-        for d0 in range(4 * self.n):
+        for d0 in range(len(opp)):
             if seen[d0]:
                 continue
             orbit = []
@@ -289,7 +283,8 @@ class CurveMap:
             while not seen[d]:
                 seen[d] = True
                 orbit.append(d)
-                d = rot(self.opp[d])
+                e = opp[d]
+                d = (e & ~3) | ((e + 1) & 3)
             orbits.append(tuple(orbit))
         return tuple(orbits)
 
@@ -342,21 +337,18 @@ O_MAP = CurveMap((), (), 1)
 # Code <-> map
 
 
-def _alternating_phases(code: SignedGaussCode) -> list[int]:
+def _alternating_phases(occurrences, k: int) -> list[int]:
     """Phase per component making over/under strictly alternate along every
     word (over exactly at even position + phase).
 
-    Every spherical projection admits such an assignment (checkerboard
-    coloring), so an inconsistency here already proves non-realizability.
+    ``occurrences`` holds, per crossing, its two visits as ``(component,
+    position)`` pairs.  Every spherical projection admits such an assignment
+    (checkerboard coloring), so an inconsistency here already proves
+    non-realizability.
     """
-    occ: dict[str, list[tuple[int, int]]] = {}
-    for ci, word in enumerate(code.components):
-        for pos, (label, _) in enumerate(word):
-            occ.setdefault(label, []).append((ci, pos))
-    k = len(code.components)
     phase = [-1] * k
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(k)}
-    for (c1, p1), (c2, p2) in occ.values():
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for (c1, p1), (c2, p2) in occurrences:
         # the two strands at a crossing must take opposite over/under roles
         need = (p1 + p2 + 1) & 1
         adj[c1].append((c2, need))
@@ -393,7 +385,11 @@ def build_map(code: SignedGaussCode) -> CurveMap:
     visits.  Raises :class:`NotRealizable` when the induced map is not
     spherical.
     """
-    phases = _alternating_phases(code)
+    occ: dict[str, list[tuple[int, int]]] = {}
+    for ci, word in enumerate(code.components):
+        for pos, (label, _) in enumerate(word):
+            occ.setdefault(label, []).append((ci, pos))
+    phases = _alternating_phases(occ.values(), len(code.components))
     index: dict[str, int] = {}
     order: list[str] = []
     first_over: dict[str, bool] = {}
@@ -448,27 +444,7 @@ def extract_code(m: CurveMap) -> SignedGaussCode:
             occ.setdefault(c, []).append((ci, pos))
             word.append(c)
         words.append(word)
-    # recover the alternating over/under roles (component phases)
-    k = len(words)
-    phase = [-1] * k
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(k)}
-    for (c1, p1), (c2, p2) in occ.values():
-        need = (p1 + p2 + 1) & 1
-        adj[c1].append((c2, need))
-        adj[c2].append((c1, need))
-    for root in range(k):
-        if phase[root] != -1:
-            continue
-        phase[root] = 0
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b, need in adj[a]:
-                want = phase[a] ^ need
-                assert phase[b] in (-1, want), "spherical map lost alternation"
-                if phase[b] == -1:
-                    phase[b] = want
-                    stack.append(b)
+    phase = _alternating_phases(occ.values(), len(words))
     signs: dict[int, int] = {}
     for c, ((c1, p1), _) in occ.items():
         over_first = (p1 + phase[c1]) & 1 == 0
@@ -546,80 +522,68 @@ def interleaved(m: CurveMap, c1: str, c2: str) -> bool:
 
 
 def _canonical_key(m: CurveMap) -> bytes:
+    comps = m.graph_components
+    if len(comps) == 1:
+        curves = [m.curve_components]
+    else:
+        owner = {c: i for i, crossings in enumerate(comps) for c in crossings}
+        curves = [[] for _ in comps]
+        for orbit in m.curve_components:
+            curves[owner[orbit[0] >> 2]].append(orbit)
     comp_keys = sorted(
-        _component_key(m, crossings) for crossings in m.graph_components
+        _component_key(m, crossings, cs) for crossings, cs in zip(comps, curves)
     )
     head = f"n{m.n}o{m.free_circles}"
     return ";".join([head] + comp_keys).encode()
 
 
-def _component_key(m: CurveMap, crossings: tuple[int, ...]) -> str:
-    dense = {c: i for i, c in enumerate(crossings)}
+def _component_key(m: CurveMap, crossings: tuple[int, ...], curves) -> str:
+    """Key of the connected sub-map on ``crossings``, whose curves are
+    ``curves``: the traversal tokens of a single curve, else the rooted
+    encoding of the densely renumbered sub-map."""
     nn = len(crossings)
-    opp = [0] * (4 * nn)
-    for c in crossings:
-        for s in range(4):
-            e = m.opp[4 * c + s]
-            opp[4 * dense[c] + s] = 4 * dense[e >> 2] + (e & 3)
-    # count curves in this component
-    seen = [False] * (4 * nn)
-    circuits = 0
-    for d0 in range(4 * nn):
-        if seen[d0]:
-            continue
-        circuits += 1
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            d = rot2(opp[d])
-    if circuits == 2:
-        seq = _curve_canon(opp, nn)
+    if len(curves) == 1:
+        seq = _curve_canon(curves[0])
     else:
+        opp = m.opp if nn == m.n else dense_opp(m.opp, crossings)
         seq = _rooted_canon(opp, nn)
     return f"c{nn}:" + ",".join(map(str, seq))
 
 
-def _curve_canon(opp: list[int], n: int) -> tuple[int, ...]:
-    """Minimal traversal encoding of a one-curve map over all starts,
-    directions, and reflections.
+def _curve_canon(orbit: tuple[int, ...]) -> list[int]:
+    """Least token sequence of a one-curve map over all starts, both
+    directions and both reflections.
 
-    Token stream: first visit to a crossing emits ``4L``; the second visit
-    emits ``4L + 1`` or ``4L + 2`` by the sense of the second strand, with the
-    two senses swapped under reflection.
+    Visit ``i`` (exit dart ``orbit[i]``) emits ``2d + sense``: ``d`` is the
+    forward distance to the other visit of the same crossing, and ``sense``
+    is set iff that visit enters one slot counterclockwise of this one, so
+    the two visits of a crossing carry complementary bits.  The tokens do
+    not depend on where the walk starts.  The reverse walk reads them
+    backwards with distance ``2n - d`` and the same bits; reflection flips
+    every bit.  The least rotation over the four sequences starts with the
+    least token, so only those starts are compared.
     """
-    total = 2 * n
-    best: list[int] | None = None
-    for start in range(4 * n):
-        for flip in (0, 1):
-            seq: list[int] = []
-            labels: dict[int, int] = {}
-            entries: dict[int, int] = {}
-            cur = start
-            abort = False
-            for i in range(total):
-                arrival = opp[cur]
-                c, t = arrival >> 2, arrival & 3
-                if c not in labels:
-                    labels[c] = len(labels)
-                    entries[c] = t
-                    tok = 4 * labels[c]
-                else:
-                    delta = (t - entries[c]) & 3
-                    plus = (delta == 1) ^ flip
-                    tok = 4 * labels[c] + (1 if plus else 2)
-                if best is not None:
-                    b = best[i]
-                    if tok > b:
-                        abort = True
-                        break
-                    if tok < b:
-                        best = None  # strictly better; finish this walk fresh
-                seq.append(tok)
-                cur = rot2(arrival)
-            if not abort and (best is None or seq < best):
-                best = seq
-    assert best is not None
-    return tuple(best)
+    total = len(orbit)
+    fwd = [0] * total
+    first: dict[int, int] = {}
+    for i, d in enumerate(orbit):
+        j = first.pop(d >> 2, -1)
+        if j < 0:
+            first[d >> 2] = i
+        else:
+            sense = ((d - orbit[j]) & 3) == 1
+            fwd[j] = ((i - j) << 1) | sense
+            fwd[i] = ((total - i + j) << 1) | (not sense)
+    rev = [((total - (t >> 1)) << 1) | (t & 1) for t in reversed(fwd)]
+    # every variant holds the same distances, and one of each pair a 0 bit
+    lo = min(fwd) & ~1
+    rotations = []
+    for v in (fwd, [t ^ 1 for t in fwd], rev, [t ^ 1 for t in rev]):
+        i = -1
+        for _ in range(v.count(lo)):
+            i = v.index(lo, i + 1)
+            rotations.append(v[i:] + v[:i])
+    return min(rotations)
 
 
 def _rooted_canon(opp: list[int], n: int) -> tuple[int, ...]:

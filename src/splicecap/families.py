@@ -23,6 +23,7 @@ from .curvemap import (
     SignedGaussCode,
     build_map,
     components,
+    dense_opp,
     extract_code,
     label_sort_key,
     O_KEY,
@@ -293,27 +294,13 @@ def _sub_factor(m: CurveMap, orbit: list[int], s: int, length: int) -> CurveMap:
     """Close off the traversal stretch ``s .. s+length-1`` as its own map."""
     k = len(orbit)
     crossings = sorted({m.opp[orbit[(s + i) % k]] >> 2 for i in range(length)})
-    dense = {c: j for j, c in enumerate(crossings)}
     entry_in = m.opp[orbit[s % k]]
     exit_out = orbit[(s + length) % k]
-    opp = [-1] * (4 * len(crossings))
-
-    def tr(d: int) -> int:
-        return 4 * dense[d >> 2] + (d & 3)
-
-    for c in crossings:
-        for slot in range(4):
-            d = 4 * c + slot
-            if d in (entry_in, exit_out):
-                continue
-            e = m.opp[d]
-            if e in (entry_in, exit_out) or (e >> 2) not in dense:
-                continue
-            opp[tr(d)] = tr(e)
-    opp[tr(entry_in)] = tr(exit_out)
-    opp[tr(exit_out)] = tr(entry_in)
+    # the stretch leaves its crossings only through these two darts
+    opp = list(m.opp)
+    opp[entry_in], opp[exit_out] = exit_out, entry_in
     names = tuple(m.names[c] for c in crossings)
-    return CurveMap(opp, names, 0)
+    return CurveMap(dense_opp(opp, crossings), names, 0)
 
 
 def decompose_prime(m: CurveMap) -> list[CurveMap]:

@@ -21,7 +21,7 @@ from .curvemap import (
     components,
     label_sort_key,
 )
-from .errors import InvalidMove, MultiComponentError, ParseError
+from .errors import InvalidMove, MultiComponentError, ParseError, SpliceCapError
 from .splices import (
     SmoothingChoice,
     SpliceKind,
@@ -135,6 +135,8 @@ def apply_step(m: CurveMap, line: str) -> CurveMap:
         d1, d2 = _parse_locator(parts[1]), _parse_locator(parts[2])
         if d1 is None or d2 is None:
             raise InvalidMove("twist region needs two crossing darts")
+        if not parts[3].isdecimal() or int(parts[3]) < 1:
+            raise ParseError(f"bad twist crossing count in {line!r}")
         return twist_move(m, d1, d2, int(parts[3]), parts[4])
     raise ParseError(f"unknown witness op {op!r}")
 
@@ -163,7 +165,7 @@ def verify_witness(p: CurveMap, w: Witness) -> VerifyResult:
     for i, line in enumerate(w.steps):
         try:
             cur = apply_step(cur, line)
-        except Exception as exc:  # noqa: BLE001 - report, do not raise
+        except SpliceCapError as exc:
             return VerifyResult(
                 False, s_total, ri_total, cur.canonical_key, i, str(exc)
             )
@@ -298,11 +300,6 @@ class UResult:
     status: SearchStatus
     witness: Witness | None
     nodes_expanded: int = 0
-
-
-def default_budget(m: CurveMap) -> SearchBudget:
-    value, _ = u_minus(m)
-    return SearchBudget(max_crossings=m.n + 6, max_cost=value, max_nodes=10**7)
 
 
 def _insertion_moves(m: CurveMap):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curvemap import CurveMap, O_KEY, components, label_sort_key
+from .curvemap import CurveMap, O_KEY, components, dense_opp, label_sort_key
 from .errors import InvalidMove, MultiComponentError
 from .search import Witness, reduce_ri, u_minus
 from .splices import (
@@ -53,16 +53,6 @@ class AKResult:
     crosscap: int
     genus: int
     branch_count: int
-
-
-def _component_submap(m: CurveMap, crossings: tuple[int, ...]) -> CurveMap:
-    dense = {c: j for j, c in enumerate(crossings)}
-    opp = [0] * (4 * len(crossings))
-    for c in crossings:
-        for s in range(4):
-            e = m.opp[4 * c + s]
-            opp[4 * dense[c] + s] = 4 * dense[e >> 2] + (e & 3)
-    return CurveMap(opp, tuple(m.names[c] for c in crossings), 0)
 
 
 def _circle_pairing(corner_dart: int) -> int:
@@ -149,7 +139,9 @@ def _explore(state: PartialState, base_pairing: dict[str, int]):
         # add, disoriented flags among maximizers combine by OR
         total, flag, leaves = state.circles, state.any_disoriented, 0
         for crossings in comps:
-            sub = PartialState(_component_submap(m, crossings), 0, (), False)
+            names = tuple(m.names[c] for c in crossings)
+            sub_map = CurveMap(dense_opp(m.opp, crossings), names, 0)
+            sub = PartialState(sub_map, 0, (), False)
             sub_best, sub_flag, sub_leaves = _explore(sub, base_pairing)
             total += sub_best
             flag = flag or sub_flag

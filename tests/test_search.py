@@ -128,6 +128,25 @@ def test_verify_witness_rejects(trefoil):
     assert result.endpoint != O_KEY
 
 
+def test_verify_witness_rejects_bad_twist_count(trefoil):
+    for count in ("x", "0", "-2", "1.5"):
+        step = f"TWIST 1.0 2.1 {count} A"
+        result = verify_witness(trefoil, Witness(trefoil.canonical_key, (step,)))
+        assert not result.valid and result.failed_at == 0, count
+        assert "twist crossing count" in result.error
+
+
+def test_verify_witness_propagates_internal_errors(trefoil, monkeypatch):
+    import splicecap.search
+
+    def broken(m, line):
+        raise KeyError("internal bug")
+
+    monkeypatch.setattr(splicecap.search, "apply_step", broken)
+    with pytest.raises(KeyError):
+        verify_witness(trefoil, Witness(trefoil.canonical_key, ("S- 1",)))
+
+
 def test_verify_witness_empty_on_circle():
     result = verify_witness(O_MAP, Witness(O_KEY, ()))
     assert result.valid and result.s_count == 0
