@@ -103,7 +103,6 @@ from .splices import (
 from .surfaces import (
     AKResult,
     EqualityReport,
-    PartialState,
     ak_min_genus,
     check_upper_bound,
     crosscap_alt,

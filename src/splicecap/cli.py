@@ -66,14 +66,11 @@ def cmd_u_minus(args) -> None:
 
 def cmd_u_upper(args) -> None:
     for entry in ingest_table(args.file):
-        budget = None
-        if args.max_crossings or args.max_cost is not None or args.max_nodes:
-            value, _ = u_minus(entry.map)
-            budget = SearchBudget(
-                max_crossings=args.max_crossings or entry.map.n + 6,
-                max_cost=args.max_cost if args.max_cost is not None else value,
-                max_nodes=args.max_nodes or 10**7,
-            )
+        budget = SearchBudget(
+            max_crossings=args.max_crossings or entry.map.n + 6,
+            max_cost=args.max_cost,
+            max_nodes=args.max_nodes or 10**7,
+        )
         result = u_upper(entry.map, budget)
         shown = "-" if result.value is None else result.value
         print(f"{entry.name}: u <= {shown} ({result.status.value})")
@@ -111,9 +108,7 @@ def cmd_gen(args) -> None:
         _emit_record("pretzel_" + "_".join(args.params), m)
     elif kind == "sum":
         _require(args.params, 2, "gen sum <file:name> <file:name>")
-        n1, m1 = _load_one(args.params[0])
-        n2, m2 = _load_one(args.params[1])
-        _emit_record(f"{n1}_sum_{n2}", connected_sum(m1, None, m2, None))
+        _emit_sum(*args.params)
     else:
         raise SpliceCapError(f"unknown family {kind!r}")
 
@@ -123,10 +118,14 @@ def _require(params, count, usage) -> None:
         raise SpliceCapError(f"usage: {usage}")
 
 
-def cmd_sum(args) -> None:
-    n1, m1 = _load_one(args.left)
-    n2, m2 = _load_one(args.right)
+def _emit_sum(left: str, right: str) -> None:
+    n1, m1 = _load_one(left)
+    n2, m2 = _load_one(right)
     _emit_record(f"{n1}_sum_{n2}", connected_sum(m1, None, m2, None))
+
+
+def cmd_sum(args) -> None:
+    _emit_sum(args.left, args.right)
 
 
 def cmd_verify_witness(args) -> None:

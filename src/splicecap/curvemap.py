@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MultiComponentError, NotRealizable, ParseError
+from .errors import InvalidMove, MultiComponentError, NotRealizable, ParseError
 
 __all__ = [
     "SignedGaussCode",
@@ -304,8 +304,6 @@ class CurveMap:
         try:
             return self._index_of[name]
         except KeyError:
-            from .errors import InvalidMove
-
             raise InvalidMove(
                 f"unknown crossing {name!r} (have {', '.join(self.names)})"
             ) from None
@@ -508,8 +506,6 @@ def interleaved(m: CurveMap, c1: str, c2: str) -> bool:
         raise MultiComponentError("interleavement needs a single closed curve")
     i1, i2 = m.crossing_index(c1), m.crossing_index(c2)
     if i1 == i2:
-        from .errors import InvalidMove
-
         raise InvalidMove("interleaved() needs two distinct crossings")
     seq = [d >> 2 for d in m.curve_components[0]]
     pos1 = [i for i, c in enumerate(seq) if c == i1]

@@ -29,6 +29,7 @@ from .curvemap import (
     O_KEY,
 )
 from .errors import InvalidMove, MultiComponentError
+from .search import reduce_ri
 
 __all__ = [
     "FamilySpec",
@@ -410,8 +411,6 @@ def classify_projection(m: CurveMap) -> ClassLabel:
     family closure; ``U2`` for rational or pretzel members and sums of two
     torus members; everything else needs at least three non-kink splices.
     """
-    from .search import reduce_ri
-
     if components(m) != 1:
         raise MultiComponentError("classification needs a knot projection")
     q = reduce_ri(m)

@@ -25,6 +25,7 @@ from .errors import InvalidMove, MultiComponentError, ParseError, SpliceCapError
 from .splices import (
     SmoothingChoice,
     SpliceKind,
+    classify_splice,
     ri_plus,
     s_plus,
     smooth,
@@ -105,8 +106,6 @@ def apply_step(m: CurveMap, line: str) -> CurveMap:
     if op in ("S-", "RI-"):
         if len(parts) != 2:
             raise ParseError(f"malformed step {line!r}")
-        from .splices import classify_splice
-
         kind = classify_splice(m, parts[1], SmoothingChoice.DISORIENTED)
         want = SpliceKind.S_MINUS if op == "S-" else SpliceKind.RI_MINUS
         if kind is not want:
@@ -193,35 +192,30 @@ def reduce_ri(m: CurveMap) -> CurveMap:
         m = smooth(m, mono[0], SmoothingChoice.DISORIENTED)
 
 
+def _descents(m: CurveMap):
+    """Lazily yield ``(label, cost, successor)`` for every one-crossing
+    descent in natural label order; ``cost`` is 0 for a kink removal and 1
+    for a band splice."""
+    for name in sorted(m.names, key=label_sort_key):
+        cost = 0 if m.crossing_index(name) in m.monogon_crossings else 1
+        yield name, cost, smooth(m, name, SmoothingChoice.DISORIENTED)
+
+
 def enumerate_descents(m: CurveMap) -> list[tuple[str, SpliceKind, bytes]]:
     """All one-crossing descents with classification, in label order."""
     if components(m) != 1:
         raise MultiComponentError("descents are defined on knot projections")
-    out = []
-    for name in sorted(m.names, key=label_sort_key):
-        kind = (
-            SpliceKind.RI_MINUS
-            if m.crossing_index(name) in m.monogon_crossings
-            else SpliceKind.S_MINUS
+    return [
+        (
+            name,
+            SpliceKind.RI_MINUS if cost == 0 else SpliceKind.S_MINUS,
+            child.canonical_key,
         )
-        succ = smooth(m, name, SmoothingChoice.DISORIENTED)
-        out.append((name, kind, succ.canonical_key))
-    return out
+        for name, cost, child in _descents(m)
+    ]
 
 
 _UMINUS_MEMO: dict[bytes, int] = {O_KEY: 0}
-
-
-def _descent_successors(m: CurveMap) -> dict[bytes, tuple[int, str, CurveMap]]:
-    """Distinct descent successors with the cheapest step reaching each."""
-    succs: dict[bytes, tuple[int, str, CurveMap]] = {}
-    for name in sorted(m.names, key=label_sort_key):
-        cost = 0 if m.crossing_index(name) in m.monogon_crossings else 1
-        child = smooth(m, name, SmoothingChoice.DISORIENTED)
-        key = child.canonical_key
-        if key not in succs or cost < succs[key][0]:
-            succs[key] = (cost, name, child)
-    return succs
 
 
 def _u_minus_value(m: CurveMap) -> int:
@@ -230,7 +224,8 @@ def _u_minus_value(m: CurveMap) -> int:
     if cached is not None:
         return cached
     best = m.n  # every descent uses at most n band splices
-    for cost, _, child in _descent_successors(m).values():
+    # a successor key repeated under another label is a memo hit
+    for _, cost, child in _descents(m):
         sub = cost + _u_minus_value(child)
         if sub < best:
             best = sub
@@ -252,18 +247,13 @@ def u_minus(m: CurveMap) -> tuple[int, Witness]:
     cur = m
     remaining = value
     while cur.n:
-        chosen = None
-        for name in sorted(cur.names, key=label_sort_key):
-            is_kink = cur.crossing_index(name) in cur.monogon_crossings
-            cost = 0 if is_kink else 1
-            child = smooth(cur, name, SmoothingChoice.DISORIENTED)
+        for name, cost, child in _descents(cur):
             if cost + _u_minus_value(child) == remaining:
-                chosen = (name, is_kink, child, cost)
                 break
-        assert chosen is not None, "optimal descent step must exist"
-        name, is_kink, child, cost = chosen
-        steps.append(f"{'RI-' if is_kink else 'S-'} {name}")
+        else:
+            raise AssertionError("optimal descent step must exist")
         cur = child
+        steps.append(f"{'RI-' if cost == 0 else 'S-'} {name}")
         remaining -= cost
     assert cur.canonical_key == O_KEY
     return value, Witness(m.canonical_key, tuple(steps))
@@ -373,14 +363,13 @@ def u_upper(m: CurveMap, budget: SearchBudget | None = None) -> UResult:
             aborted = True
             break
         cur = CurveMap(*specs[key])
-        moves = []
-        for name in sorted(cur.names, key=label_sort_key):
-            cost = 0 if cur.crossing_index(name) in cur.monogon_crossings else 1
-            op = "RI-" if cost == 0 else "S-"
-            moves.append((f"{op} {name}", smooth(cur, name, SmoothingChoice.DISORIENTED), cost))
+        moves = [
+            (f"{'RI-' if cost == 0 else 'S-'} {name}", child, cost)
+            for name, cost, child in _descents(cur)
+        ]
         if cur.n < budget.max_crossings:
             moves.extend(_insertion_moves(cur))
-        elif cur.n >= budget.max_crossings:
+        else:
             # insertions suppressed here: remember the cheapest suppression
             if pruned_min is None or d < pruned_min:
                 pruned_min = d

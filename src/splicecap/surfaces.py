@@ -15,20 +15,11 @@ from dataclasses import dataclass
 
 from .curvemap import CurveMap, O_KEY, components, dense_opp, label_sort_key
 from .errors import InvalidMove, MultiComponentError
-from .search import Witness, reduce_ri, u_minus
-from .splices import (
-    SmoothingChoice,
-    SpliceKind,
-    State,
-    _smooth_pairing,
-    classify_splice,
-    oriented_pairing,
-    seifert_genus,
-)
+from .search import Witness, apply_step, reduce_ri, u_minus
+from .splices import State, _smooth_pairing, oriented_pairing, seifert_genus
 
 __all__ = [
     "AKResult",
-    "PartialState",
     "ak_min_genus",
     "crosscap_alt",
     "sigma_from_witness",
@@ -92,61 +83,23 @@ def _forced_pairings(orbit: tuple[int, ...], m: CurveMap, opposite: bool):
     return chosen
 
 
-@dataclass(frozen=True)
-class PartialState:
-    """Working state of one branch: the map still to be smoothed, the state
-    circles committed so far, the splices already chosen, and whether any of
-    them differed from the base projection's oriented pairing."""
-
-    remaining: CurveMap
-    circles: int
-    choices: tuple[tuple[str, int], ...]
-    any_disoriented: bool
-
-    def advance(self, chosen: dict[str, int], base_pairing: dict[str, int]):
-        """Apply forced pairings; circles freed by the splices are banked."""
-        cur = self.remaining
-        flag = self.any_disoriented
-        for name in sorted(chosen, key=label_sort_key):
-            if chosen[name] != base_pairing[name]:
-                flag = True
-            cur = _smooth_pairing(cur, cur.crossing_index(name), chosen[name])
-        return PartialState(
-            CurveMap(cur.opp, cur.names, 0),
-            self.circles + cur.free_circles,
-            self.choices + tuple(sorted(chosen.items())),
-            flag,
-        )
-
-
-def _start_state(m: CurveMap) -> PartialState:
-    return PartialState(CurveMap(m.opp, m.names, 0), m.free_circles, (), False)
-
-
-def _explore(state: PartialState, base_pairing: dict[str, int]):
-    """Maximal total circle yield over the branch tree of one state.
-
-    Returns ``(circles, flag, leaves)`` where ``flag`` says whether some
-    maximal leaf involves a choice differing from the base projection's
-    oriented pairing.
-    """
-    m = state.remaining
+def _explore(m: CurveMap) -> tuple[int, int]:
+    """Maximal circle yield over the branch tree of ``m``, its free circles
+    included, and the number of leaves evaluated."""
     if m.n == 0:
-        return state.circles, state.any_disoriented, 1
+        return m.free_circles, 1
     comps = m.graph_components
     if len(comps) > 1:
-        # disconnected remainders are solved independently: circle yields
-        # add, disoriented flags among maximizers combine by OR
-        total, flag, leaves = state.circles, state.any_disoriented, 0
+        # disconnected remainders are solved independently: yields add
+        total, leaves = m.free_circles, 0
         for crossings in comps:
             names = tuple(m.names[c] for c in crossings)
-            sub_map = CurveMap(dense_opp(m.opp, crossings), names, 0)
-            sub = PartialState(sub_map, 0, (), False)
-            sub_best, sub_flag, sub_leaves = _explore(sub, base_pairing)
+            sub_best, sub_leaves = _explore(
+                CurveMap(dense_opp(m.opp, crossings), names, 0)
+            )
             total += sub_best
-            flag = flag or sub_flag
             leaves += sub_leaves
-        return total, flag, leaves
+        return total, leaves
 
     orbit = _smallest_face(m)
     assert len(orbit) <= 3, "a connected spherical projection has a <=3-gon"
@@ -154,21 +107,19 @@ def _explore(state: PartialState, base_pairing: dict[str, int]):
     if len(orbit) == 3:
         branch_choices.append(_forced_pairings(orbit, m, opposite=True))
     best = None
-    best_flag = False
     leaves = 0
     for chosen in branch_choices:
         if chosen is None:
             continue
-        circles, sub_flag, sub_leaves = _explore(
-            state.advance(chosen, base_pairing), base_pairing
-        )
+        cur = m
+        for name in sorted(chosen, key=label_sort_key):
+            cur = _smooth_pairing(cur, cur.crossing_index(name), chosen[name])
+        circles, sub_leaves = _explore(cur)
         leaves += sub_leaves
         if best is None or circles > best:
-            best, best_flag = circles, sub_flag
-        elif circles == best:
-            best_flag = best_flag or sub_flag
+            best = circles
     assert best is not None, "every branch of a triangle was inconsistent"
-    return best, best_flag, leaves
+    return best, leaves
 
 
 def ak_min_genus(m: CurveMap) -> AKResult:
@@ -188,14 +139,13 @@ def ak_min_genus(m: CurveMap) -> AKResult:
     genus = seifert_genus(m)
     if m.n == 0:
         return AKResult(1, False, 1, 0, 1)
-    base = {m.names[c]: oriented_pairing(m, c) for c in range(m.n)}
-    circles, _, leaves = _explore(_start_state(m), base)
+    circles, leaves = _explore(m)
     chi_max = circles - m.n
     chi_seifert = 1 - 2 * genus
     best_nonseifert = None
     for c in range(m.n):
-        anchored = _smooth_pairing(m, c, 1 - base[m.names[c]])
-        sub_circles, _, sub_leaves = _explore(_start_state(anchored), base)
+        anchored = _smooth_pairing(m, c, 1 - oriented_pairing(m, c))
+        sub_circles, sub_leaves = _explore(anchored)
         leaves += sub_leaves
         chi = sub_circles - m.n
         if best_nonseifert is None or chi > best_nonseifert:
@@ -233,17 +183,13 @@ def sigma_from_witness(p: CurveMap, w: Witness) -> State:
     cur = p
     for line in w.steps:
         parts = line.split()
-        if parts[0] not in ("S-", "RI-") or len(parts) != 2:
+        if len(parts) != 2 or parts[0] not in ("S-", "RI-"):
             raise InvalidMove(f"not a pure-descent step: {line!r}")
         name = parts[1]
-        kind = classify_splice(cur, name, SmoothingChoice.DISORIENTED)
-        want = SpliceKind.S_MINUS if parts[0] == "S-" else SpliceKind.RI_MINUS
-        if kind is not want:
-            raise InvalidMove(f"step {line!r} misclassifies the splice ({kind.value})")
-        c = cur.crossing_index(name)
-        dis = 1 - oriented_pairing(cur, c)
+        nxt = apply_step(cur, line)
+        dis = 1 - oriented_pairing(cur, cur.crossing_index(name))
         pair_by_name[name] = dis if parts[0] == "S-" else 1 - dis
-        cur = _smooth_pairing(cur, c, dis)
+        cur = nxt
     if cur.canonical_key != O_KEY:
         raise InvalidMove("witness does not end at the simple closed curve")
     if set(pair_by_name) != set(p.names):

@@ -1,5 +1,7 @@
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,27 @@ def test_bundled_table_loads(table):
         by_n[e.n] = by_n.get(e.n, 0) + 1
     assert by_n == {1: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 10, 8: 27}
     assert all(e.prime for e in table)
+
+
+def test_enumeration_tool_keeps_record_lines(tmp_path):
+    """Regenerating into an existing table keeps each class's record line:
+    re-running the curation tool renames nothing."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "enumerate_projections.py"
+    out = tmp_path / "table.gauss"
+    shutil.copy(bundled_table_path(), out)
+    res = subprocess.run(
+        [sys.executable, str(tool), str(out), "7"], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+
+    def records(path):
+        return [
+            line
+            for line in path.read_text().splitlines()
+            if not line.startswith("#") and len(line.split(":")[1].split()) <= 14
+        ]
+
+    assert records(out) == records(bundled_table_path())
 
 
 def test_table_contains_family_members(table_maps):
@@ -160,6 +183,16 @@ def test_cli_classify_canon_u_upper(record_file):
     res = run_cli("u-upper", str(record_file), "--max-nodes", "10")
     assert res.returncode == 0
     assert "3_1: u <= 1 (Exact)" in res.stdout
+
+
+def test_cli_u_upper_max_cost(tmp_path):
+    """A cost cap below the descent count (u_minus = 4 here) leaves no
+    value to report when the node budget finds nothing cheaper."""
+    one = tmp_path / "one.gauss"
+    one.write_text("8x1: 3+ 4+ 8+ 6- 7- 8+ 5+ 2+ 1+ 7- 6- 5+ 4+ 3+ 2+ 1+\n")
+    res = run_cli("u-upper", str(one), "--max-nodes", "40", "--max-cost", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "8x1: u <= - (Exhausted)\n"
 
 
 def test_cli_gen_and_sum(record_file, tmp_path):

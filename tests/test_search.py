@@ -56,6 +56,20 @@ def test_u_minus_multi_component(trefoil):
         u_minus(smooth(trefoil, "1", SmoothingChoice.ORIENTED))
 
 
+def test_u_minus_missing_optimal_step_fails_loudly(trefoil, monkeypatch, tmp_path):
+    """A memo value no descent step realizes is an internal invariant
+    violation, also under ``python -O``: the CLI exits with code 2."""
+    import splicecap.cli
+    import splicecap.search
+
+    monkeypatch.setitem(splicecap.search._UMINUS_MEMO, trefoil.canonical_key, 0)
+    with pytest.raises(AssertionError, match="optimal descent step"):
+        u_minus(trefoil)
+    record = tmp_path / "trefoil.gauss"
+    record.write_text("3_1: 1+ 2+ 3+ 1+ 2+ 3+\n")
+    assert splicecap.cli.main(["u-minus", str(record)]) == 2
+
+
 def test_witness_soundness(table):
     """Every produced witness replays to the circle with matching band count
     and exactly n steps (descents shrink by one crossing per step)."""

@@ -9,6 +9,7 @@ from splicecap import (
     Witness,
     ak_min_genus,
     apply_state,
+    build_map,
     check_upper_bound,
     connected_sum,
     crosscap_alt,
@@ -17,6 +18,7 @@ from splicecap import (
     gen_rational,
     gen_torus,
     is_seifert_state,
+    parse_code,
     ri_plus,
     sigma_from_witness,
     smooth,
@@ -42,17 +44,21 @@ def brute_force_chis(m):
     return chi_s, best_non
 
 
+# n = 9; the branching leaves a disconnected remainder on this one
+SPLITTING_CODE = "1+ 2+ 3+ 4+ 7+ 1+ 8- 6+ 5+ 9+ 6+ 5+ 9+ 8- 2+ 7+ 4+ 3+"
+
+
 def test_brute_force_oracle(table):
     """The branching result matches the full state enumeration
-    (all 2^n states, every table entry with n <= 6)."""
-    for entry in table:
-        if entry.n > 6:
-            continue
-        m = entry.map
+    (all 2^n states, every table entry with n <= 6 and a projection whose
+    branching splits)."""
+    cases = [(e.name, e.map) for e in table if e.n <= 6]
+    cases.append(("splitting", build_map(parse_code(SPLITTING_CODE))))
+    for name, m in cases:
         chi_s, best_non = brute_force_chis(m)
         r = ak_min_genus(m)
-        assert r.chi_max == max(chi_s, best_non), entry.name
-        assert r.nonorientable_at_max == (best_non == r.chi_max), entry.name
+        assert r.chi_max == max(chi_s, best_non), name
+        assert r.nonorientable_at_max == (best_non == r.chi_max), name
         assert chi_s == 1 - 2 * r.genus
 
 
@@ -141,9 +147,10 @@ def test_sigma_from_witness_table(table):
 
 
 def test_sigma_rejects_non_descent(trefoil):
-    bad = Witness(trefoil.canonical_key, ("RI+ 1.0 L",))
-    with pytest.raises(InvalidMove):
-        sigma_from_witness(trefoil, bad)
+    for step in ("RI+ 1.0 L", ""):
+        bad = Witness(trefoil.canonical_key, (step,))
+        with pytest.raises(InvalidMove):
+            sigma_from_witness(trefoil, bad)
 
 
 def test_upper_bound_everywhere(table):

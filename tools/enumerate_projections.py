@@ -9,6 +9,12 @@ construction.  Counts per crossing number are printed; the number of prime
 alternating knots (1, 1, 2, 3, 7, 18 for n = 3..8) is a lower bound since
 every such knot has at least one reduced prime projection.
 
+When the output file already exists, every class it holds keeps its record
+line (name and code), in its order; classes new to it follow, named by key
+order after the highest ``<n>x<i>`` index already in use.  Re-running the
+tool therefore leaves the bundled names, which witnesses and reports refer
+to, unchanged.
+
 Not a shipped feature; run from the repository root:
 
     python3 tools/enumerate_projections.py src/splicecap/data/projections_le8.gauss
@@ -16,6 +22,7 @@ Not a shipped feature; run from the repository root:
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 from itertools import product
@@ -29,6 +36,7 @@ from splicecap.curvemap import (  # noqa: E402
     build_map,
     equivalent,
     extract_code,
+    parse_record,
     render_code,
 )
 from splicecap.errors import NotRealizable  # noqa: E402
@@ -126,7 +134,18 @@ ALIASES = [
 ]
 
 
+def existing_records(path: Path) -> dict[bytes, str]:
+    """Record lines of an existing table by class key, in file order."""
+    records: dict[bytes, str] = {}
+    if path.exists():
+        for line in path.read_text().splitlines():
+            if line.strip() and not line.startswith("#"):
+                records[build_map(parse_record(line)[1]).canonical_key] = line
+    return records
+
+
 def main(out_path: str, n_max: int = 8) -> None:
+    old = existing_records(Path(out_path))
     by_key: dict[bytes, CurveMap] = {}
     counts: dict[int, int] = {}
     for n in range(3, n_max + 1):
@@ -173,11 +192,17 @@ def main(out_path: str, n_max: int = 8) -> None:
         "1_1: 1+ 1+",
     ]
     for n in sorted(counts):
+        held = [line for key, line in old.items() if key in by_key and by_key[key].n == n]
+        lines.extend(held)
+        idx = 0
+        for line in held:
+            numbered = re.match(rf"{n}x(\d+):", line)
+            if numbered:
+                idx = max(idx, int(numbered[1]))
         maps = sorted(
-            (m for m in by_key.values() if m.n == n),
+            (m for m in by_key.values() if m.n == n and m.canonical_key not in old),
             key=lambda m: m.canonical_key,
         )
-        idx = 0
         for m in maps:
             name = alias_of.get(m.canonical_key)
             if name is None:
