@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .curvemap import CurveMap, extract_code, render_code
-from .errors import SpliceCapError
+from .errors import ParseError, SpliceCapError
 from .families import (
     classify_projection,
     connected_sum,
@@ -67,9 +67,11 @@ def cmd_u_minus(args) -> None:
 def cmd_u_upper(args) -> None:
     for entry in ingest_table(args.file):
         budget = SearchBudget(
-            max_crossings=args.max_crossings or entry.map.n + 6,
+            max_crossings=(
+                entry.map.n + 6 if args.max_crossings is None else args.max_crossings
+            ),
             max_cost=args.max_cost,
-            max_nodes=args.max_nodes or 10**7,
+            max_nodes=10**7 if args.max_nodes is None else args.max_nodes,
         )
         result = u_upper(entry.map, budget)
         shown = "-" if result.value is None else result.value
@@ -136,7 +138,10 @@ def cmd_verify_witness(args) -> None:
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if lines and lines[0].startswith("BASE"):
-        base = lines[0].split(None, 1)[1].strip()
+        parts = lines[0].split(None, 1)
+        if len(parts) != 2:
+            raise ParseError(f"BASE line names no record: {lines[0]!r}")
+        base = parts[1].strip()
         if base != name and base != m.canonical_key.decode():
             raise SpliceCapError(
                 f"witness is for base {base!r}, not {name!r}"

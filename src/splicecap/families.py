@@ -176,15 +176,13 @@ def gen_rational(m: int, n: int) -> CurveMap:
 def gen_pretzel(p: int, q: int, r: int) -> CurveMap:
     """The (2p, 2q-1, 2r-1)-pretzel knot projection: three pretzel-closed
     twist columns."""
-    spec = Pretzel(p, q, r)
-    return _pretzel_columns((2 * p, 2 * q - 1, 2 * r - 1), expect=spec.crossings)
+    Pretzel(p, q, r)  # validates the parameters
+    return _pretzel_columns((2 * p, 2 * q - 1, 2 * r - 1))
 
 
-def _pretzel_columns(cols: tuple[int, ...], expect: int | None = None) -> CurveMap:
+def _pretzel_columns(cols: tuple[int, ...]) -> CurveMap:
     """Pretzel closure of vertical twist columns (a curation helper too)."""
     total = sum(cols)
-    if expect is not None:
-        assert total == expect
     opp = [-1] * (4 * total)
     ends = []
     first = 0

@@ -34,6 +34,8 @@ __all__ = [
     "emit_report",
 ]
 
+_MAX_N = 8  # the observation covers projections with at most 8 double points
+
 
 @dataclass(frozen=True)
 class TableEntry:
@@ -147,7 +149,6 @@ def ingest_external(path) -> list[ExternalCrosscapRow]:
 def verify_observation(
     entries: list[TableEntry],
     external: list[ExternalCrosscapRow] | None = None,
-    max_n: int = 8,
     search_nodes: int = 20000,
 ) -> tuple[list[ReportRow], dict]:
     """Check ``u_minus = crosscap = u_upper_value`` on every prime entry.
@@ -161,7 +162,7 @@ def verify_observation(
     mismatches = 0
     external_mismatches = 0
     for entry in entries:
-        if not entry.prime or entry.n > max_n:
+        if not entry.prime or entry.n > _MAX_N:
             continue
         m = entry.map
         value, _ = u_minus(m)

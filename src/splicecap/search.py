@@ -25,7 +25,10 @@ from .errors import InvalidMove, MultiComponentError, ParseError, SpliceCapError
 from .splices import (
     SmoothingChoice,
     SpliceKind,
+    _insert_band,
+    _smooth_pairings,
     classify_splice,
+    oriented_pairing,
     ri_plus,
     s_plus,
     smooth,
@@ -180,16 +183,15 @@ def verify_witness(p: CurveMap, w: Witness) -> VerifyResult:
 
 
 def reduce_ri(m: CurveMap) -> CurveMap:
-    """Remove kinks until none remain (repeated monogon splices)."""
+    """Remove kinks until none remain: each round smooths every current
+    monogon crossing at its disoriented pairing."""
     if components(m) != 1:
         raise MultiComponentError("kink reduction needs a knot projection")
-    while True:
-        mono = sorted(
-            (m.names[c] for c in m.monogon_crossings), key=label_sort_key
+    while m.monogon_crossings:
+        m = _smooth_pairings(
+            m, {c: 1 - oriented_pairing(m, c) for c in m.monogon_crossings}
         )
-        if not mono:
-            return m
-        m = smooth(m, mono[0], SmoothingChoice.DISORIENTED)
+    return m
 
 
 def _descents(m: CurveMap):
@@ -309,12 +311,8 @@ def _insertion_moves(m: CurveMap):
                 d1, d2 = orbit[i], orbit[j]
                 if out[d1] != out[d2]:
                     continue
-                loc1 = f"{m.names[d1 >> 2]}.{d1 & 3}"
-                loc2 = f"{m.names[d2 >> 2]}.{d2 & 3}"
-                child = s_plus(
-                    m, (m.names[d1 >> 2], d1 & 3), (m.names[d2 >> 2], d2 & 3)
-                )
-                yield (f"S+ {loc1} {loc2}", child, 1)
+                line = f"S+ {m.dart_name(d1)} {m.dart_name(d2)}"
+                yield line, _insert_band(m, d1, d2), 1
 
 
 def u_upper(m: CurveMap, budget: SearchBudget | None = None) -> UResult:

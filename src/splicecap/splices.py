@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .curvemap import CurveMap, components
+from .curvemap import CurveMap, components, dense_opp
 from .errors import DegenerateOnO, InvalidMove, MultiComponentError
 
 __all__ = [
@@ -63,45 +63,42 @@ def pairing_for(m: CurveMap, c: int, choice: SmoothingChoice) -> int:
     return p if choice is SmoothingChoice.ORIENTED else 1 - p
 
 
-def _smooth_pairing(m: CurveMap, c: int, pairing: int) -> CurveMap:
-    """Remove crossing ``c``, reconnecting its four edge ends by ``pairing``."""
-    n = m.n
+def _smooth_pairings(m: CurveMap, chosen: dict[int, int]) -> CurveMap:
+    """Remove the crossings of ``chosen`` at once, reconnecting the four edge
+    ends of each by its pairing.
+
+    A strand entering the removed crossings from a kept dart is followed
+    through their arcs to the kept dart where it comes out, and the two ends
+    are joined; strands that close up inside them become free circles.
+    """
     old = m.opp
-    resolved: dict[int, int] = {}
-    consumed = set()
-    for d in range(4 * n):
-        if d >> 2 == c or d in resolved:
-            continue
-        e = old[d]
-        while e >> 2 == c:
-            consumed.add(e)
-            p = 4 * c + _arc_partner(e & 3, pairing)
-            consumed.add(p)
-            e = old[p]
-        resolved[d] = e
-        resolved[e] = d
-    # arc/edge cycles living entirely on the removed crossing become circles
-    extra = 0
-    leftovers = {4 * c + s for s in range(4)} - consumed
-    while leftovers:
-        start = leftovers.pop()
-        extra += 1
-        d = start
+    opp = list(old)
+    removed = [4 * c + s for c in chosen for s in range(4)]
+    seen = set()
+
+    def walk(d: int) -> int:
+        # pass through removed crossings until the strand reaches a kept dart
         while True:
-            p = 4 * c + _arc_partner(d & 3, pairing)
-            leftovers.discard(p)
+            p = 4 * (d >> 2) + _arc_partner(d & 3, chosen[d >> 2])
+            seen.add(d)
+            seen.add(p)
             d = old[p]
-            assert d >> 2 == c, "leftover cycle escaped the removed crossing"
-            if d == start:
-                break
-            leftovers.discard(d)
-    new_index = {i: (i if i < c else i - 1) for i in range(n) if i != c}
-    opp = [0] * (4 * (n - 1))
-    for d, e in resolved.items():
-        nd = 4 * new_index[d >> 2] + (d & 3)
-        opp[nd] = 4 * new_index[e >> 2] + (e & 3)
-    names = tuple(nm for i, nm in enumerate(m.names) if i != c)
-    return CurveMap(opp, names, m.free_circles + extra)
+            if d >> 2 not in chosen or d in seen:
+                return d
+
+    for d in removed:
+        if d not in seen and old[d] >> 2 not in chosen:
+            e = walk(d)
+            opp[old[d]] = e
+            opp[e] = old[d]
+    free = m.free_circles
+    for d in removed:
+        if d not in seen:
+            walk(d)
+            free += 1
+    keep = [c for c in range(m.n) if c not in chosen]
+    names = tuple(m.names[c] for c in keep)
+    return CurveMap(dense_opp(opp, keep), names, free)
 
 
 def smooth(m: CurveMap, crossing: str, choice: SmoothingChoice) -> CurveMap:
@@ -112,7 +109,7 @@ def smooth(m: CurveMap, crossing: str, choice: SmoothingChoice) -> CurveMap:
     traversal direction on each closed curve.
     """
     c = m.crossing_index(crossing)
-    return _smooth_pairing(m, c, pairing_for(m, c, choice))
+    return _smooth_pairings(m, {c: pairing_for(m, c, choice)})
 
 
 def classify_splice(m: CurveMap, crossing: str, choice: SmoothingChoice) -> SpliceKind:
@@ -274,12 +271,25 @@ def ri_plus(m: CurveMap, dart: tuple[str, int] | None, side: str) -> CurveMap:
     return CurveMap(opp, m.names + (_fresh_name(m),), m.free_circles)
 
 
-def _face_of(m: CurveMap) -> dict[int, int]:
-    face_of = {}
-    for i, orbit in enumerate(m.face_orbits):
-        for d in orbit:
-            face_of[d] = i
-    return face_of
+def _same_face(m: CurveMap, d1: int, d2: int) -> bool:
+    return any(d1 in orbit and d2 in orbit for orbit in m.face_orbits)
+
+
+def _band_darts(
+    m: CurveMap, dart1: tuple[str, int], dart2: tuple[str, int]
+) -> tuple[int, int]:
+    """The darts of two distinct locators on a common face of ``m``."""
+    if m.n == 0:
+        raise DegenerateOnO(
+            "no distinct arcs on the simple closed curve; use ri_plus"
+        )
+    d1 = m.dart(*dart1)
+    d2 = m.dart(*dart2)
+    if d1 == d2:
+        raise InvalidMove("need two distinct darts")
+    if not _same_face(m, d1, d2):
+        raise InvalidMove("darts do not lie on a common face")
+    return d1, d2
 
 
 def _insert_band(m: CurveMap, d1: int, d2: int) -> CurveMap:
@@ -298,7 +308,9 @@ def _insert_band(m: CurveMap, d1: int, d2: int) -> CurveMap:
     join(o1, x + 0)
     join(o2, x + 2)
     join(d2, x + 3)
-    return CurveMap(opp, m.names + (_fresh_name(m),), m.free_circles)
+    out = CurveMap(opp, m.names + (_fresh_name(m),), m.free_circles)
+    assert components(out) == components(m), "band insertion changed components"
+    return out
 
 
 def s_plus(m: CurveMap, dart1: tuple[str, int], dart2: tuple[str, int]) -> CurveMap:
@@ -308,25 +320,13 @@ def s_plus(m: CurveMap, dart1: tuple[str, int], dart2: tuple[str, int]) -> Curve
     restores the input.  Requires the arcs to be traversed compatibly, else
     the band would cut the curve into a two-component link.
     """
-    if m.n == 0:
-        raise DegenerateOnO(
-            "no distinct arcs on the simple closed curve; use ri_plus"
-        )
-    d1 = m.dart(*dart1)
-    d2 = m.dart(*dart2)
-    if d1 == d2:
-        raise InvalidMove("need two distinct darts")
-    face_of = _face_of(m)
-    if face_of[d1] != face_of[d2]:
-        raise InvalidMove("darts do not lie on a common face")
+    d1, d2 = _band_darts(m, dart1, dart2)
     if m.out_darts[d1] != m.out_darts[d2]:
         raise InvalidMove(
             "a band joining oppositely traversed arcs would cut the curve "
             "into a two-component link"
         )
-    out = _insert_band(m, d1, d2)
-    assert components(out) == components(m), "band insertion changed components"
-    return out
+    return _insert_band(m, d1, d2)
 
 
 def twist_move(
@@ -352,17 +352,9 @@ def twist_move(
         raise InvalidMove("twist region needs at least one crossing")
     if variant not in ("A", "B"):
         raise InvalidMove(f"variant must be 'A' or 'B', got {variant!r}")
-    if m.n == 0:
-        raise DegenerateOnO("no arcs available on the simple closed curve")
     if variant == "B":
         dart1, dart2 = dart2, dart1
-    d1 = m.dart(*dart1)
-    d2 = m.dart(*dart2)
-    if d1 == d2:
-        raise InvalidMove("need two distinct darts")
-    face_of = _face_of(m)
-    if face_of[d1] != face_of[d2]:
-        raise InvalidMove("darts do not lie on a common face")
+    d1, d2 = _band_darts(m, dart1, dart2)
     matched = m.out_darts[d1] == m.out_darts[d2]
     if (i % 2 == 1) != matched:
         raise InvalidMove(
@@ -385,7 +377,6 @@ def _coil_into_face(
     for side, outer_slot in (("L", 2), ("R", 1)):
         cand = ri_plus(m, arc, side)
         new_name = cand.names[-1]
-        face_of = _face_of(cand)
-        if face_of[cand.dart(new_name, outer_slot)] == face_of[cand.dart(*target)]:
+        if _same_face(cand, cand.dart(new_name, outer_slot), cand.dart(*target)):
             return cand, (new_name, outer_slot)
     raise AssertionError("kink loop landed in neither face of the arc")

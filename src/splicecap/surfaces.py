@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .curvemap import CurveMap, O_KEY, components, dense_opp, label_sort_key
 from .errors import InvalidMove, MultiComponentError
 from .search import Witness, apply_step, reduce_ri, u_minus
-from .splices import State, _smooth_pairing, oriented_pairing, seifert_genus
+from .splices import State, _smooth_pairings, oriented_pairing, seifert_genus
 
 __all__ = [
     "AKResult",
@@ -69,16 +69,14 @@ def _smallest_face(m: CurveMap) -> tuple[int, ...]:
     return best
 
 
-def _forced_pairings(orbit: tuple[int, ...], m: CurveMap, opposite: bool):
-    """Pairings per crossing name turning the face into a state circle (or
-    all the other way); ``None`` if the corners demand conflicting arcs."""
-    chosen: dict[str, int] = {}
+def _forced_pairings(orbit: tuple[int, ...], opposite: int):
+    """Pairings per crossing index turning the face into a state circle (or,
+    with ``opposite`` set, all the other way); ``None`` if the corners demand
+    conflicting arcs."""
+    chosen: dict[int, int] = {}
     for d in orbit:
-        name = m.names[d >> 2]
-        p = _circle_pairing(d)
-        if opposite:
-            p = 1 - p
-        if chosen.setdefault(name, p) != p:
+        p = _circle_pairing(d) ^ opposite
+        if chosen.setdefault(d >> 2, p) != p:
             return None
     return chosen
 
@@ -103,18 +101,13 @@ def _explore(m: CurveMap) -> tuple[int, int]:
 
     orbit = _smallest_face(m)
     assert len(orbit) <= 3, "a connected spherical projection has a <=3-gon"
-    branch_choices = [_forced_pairings(orbit, m, opposite=False)]
-    if len(orbit) == 3:
-        branch_choices.append(_forced_pairings(orbit, m, opposite=True))
     best = None
     leaves = 0
-    for chosen in branch_choices:
+    for opposite in ((0, 1) if len(orbit) == 3 else (0,)):
+        chosen = _forced_pairings(orbit, opposite)
         if chosen is None:
             continue
-        cur = m
-        for name in sorted(chosen, key=label_sort_key):
-            cur = _smooth_pairing(cur, cur.crossing_index(name), chosen[name])
-        circles, sub_leaves = _explore(cur)
+        circles, sub_leaves = _explore(_smooth_pairings(m, chosen))
         leaves += sub_leaves
         if best is None or circles > best:
             best = circles
@@ -144,7 +137,7 @@ def ak_min_genus(m: CurveMap) -> AKResult:
     chi_seifert = 1 - 2 * genus
     best_nonseifert = None
     for c in range(m.n):
-        anchored = _smooth_pairing(m, c, 1 - oriented_pairing(m, c))
+        anchored = _smooth_pairings(m, {c: 1 - oriented_pairing(m, c)})
         sub_circles, sub_leaves = _explore(anchored)
         leaves += sub_leaves
         chi = sub_circles - m.n

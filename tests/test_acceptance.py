@@ -32,7 +32,7 @@ from splicecap import (
     O_KEY,
 )
 from splicecap.curvemap import SignedGaussCode, extract_code
-from splicecap.splices import _smooth_pairing, count_state_circles, oriented_pairing
+from splicecap.splices import _smooth_pairings, count_state_circles, oriented_pairing
 from splicecap.surfaces import ak_min_genus
 from conftest import family_members
 
@@ -225,16 +225,16 @@ def test_criterion_9_property_suites(table):
             if c1 == c2:
                 continue
             for p1, p2 in product((0, 1), repeat=2):
-                a = _smooth_pairing(m, c1, p1)
-                a = _smooth_pairing(a, a.crossing_index(m.names[c2]), p2)
-                b = _smooth_pairing(m, c2, p2)
-                b = _smooth_pairing(b, b.crossing_index(m.names[c1]), p1)
+                a = _smooth_pairings(m, {c1: p1})
+                a = _smooth_pairings(a, {a.crossing_index(m.names[c2]): p2})
+                b = _smooth_pairings(m, {c2: p2})
+                b = _smooth_pairings(b, {b.crossing_index(m.names[c1]): p1})
                 assert equivalent(a, b)
         for ps in product((0, 1), repeat=m.n):
             expected = count_state_circles(m, ps) + m.free_circles
             cur = m
             for c in reversed(range(m.n)):
-                cur = _smooth_pairing(cur, cur.crossing_index(m.names[c]), ps[c])
+                cur = _smooth_pairings(cur, {cur.crossing_index(m.names[c]): ps[c]})
             assert cur.free_circles == expected
 
     # canonical key symmetry and mirror invariance, exhaustive n <= 8

@@ -221,6 +221,23 @@ def test_cli_verify_witness(record_file, tmp_path):
     assert res.returncode == 1
 
 
+def test_cli_verify_witness_bare_base(record_file, tmp_path):
+    """A ``BASE`` line without a record name is an input error, not a crash."""
+    script = tmp_path / "bare.txt"
+    script.write_text("BASE\nS- 1\n")
+    res = run_cli("verify-witness", f"{record_file}:3_1", str(script))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+
+
+def test_cli_u_upper_zero_caps(record_file):
+    """An explicit 0 reaches the budget check instead of meaning "unset"."""
+    for flag in ("--max-nodes", "--max-crossings"):
+        res = run_cli("u-upper", str(record_file), flag, "0")
+        assert res.returncode == 1
+        assert "budget caps must be positive" in res.stderr
+
+
 def test_cli_verify_table(tmp_path):
     out = tmp_path / "report.csv"
     small = tmp_path / "small.gauss"

@@ -25,7 +25,7 @@ from splicecap import (
     O_KEY,
     O_MAP,
 )
-from splicecap.splices import _smooth_pairing, count_state_circles
+from splicecap.splices import _smooth_pairings, count_state_circles
 
 ORIENTED = SmoothingChoice.ORIENTED
 DISORIENTED = SmoothingChoice.DISORIENTED
@@ -87,10 +87,10 @@ def test_smooth_commutes(table):
         for c1 in range(m.n):
             for c2 in range(c1 + 1, m.n):
                 for p1, p2 in product((0, 1), repeat=2):
-                    a = _smooth_pairing(m, c1, p1)
-                    a = _smooth_pairing(a, a.crossing_index(m.names[c2]), p2)
-                    b = _smooth_pairing(m, c2, p2)
-                    b = _smooth_pairing(b, b.crossing_index(m.names[c1]), p1)
+                    a = _smooth_pairings(m, {c1: p1})
+                    a = _smooth_pairings(a, {a.crossing_index(m.names[c2]): p2})
+                    b = _smooth_pairings(m, {c2: p2})
+                    b = _smooth_pairings(b, {b.crossing_index(m.names[c1]): p1})
                     assert equivalent(a, b)
 
 
@@ -125,7 +125,8 @@ def test_apply_state_mismatch(trefoil, kink):
 def test_apply_state_order_independence(table):
     """Applying the pairings one crossing at a time, in any order, always
     matches the simultaneous circle count (exhaustive n <= 6, all states;
-    forward and reversed orders plus an interleaved one)."""
+    forward and reversed orders plus an interleaved one, and all crossings
+    in one call)."""
     for m in small_projections(table, 6):
         for ps in product((0, 1), repeat=m.n):
             expected = count_state_circles(m, ps) + m.free_circles
@@ -134,8 +135,10 @@ def test_apply_state_order_independence(table):
             for order in orders:
                 cur = m
                 for c in order:
-                    cur = _smooth_pairing(cur, cur.crossing_index(m.names[c]), ps[c])
+                    cur = _smooth_pairings(cur, {cur.crossing_index(m.names[c]): ps[c]})
                 assert cur.n == 0 and cur.free_circles == expected
+            at_once = _smooth_pairings(m, dict(enumerate(ps)))
+            assert at_once.n == 0 and at_once.free_circles == expected
 
 
 def test_state_chi():
@@ -214,15 +217,22 @@ def test_s_plus_inverse_law(table):
 
 
 def test_s_plus_requires_common_face(trefoil):
-    # darts on distinct faces are rejected
-    rejected = 0
-    for c1 in trefoil.names:
-        for c2 in trefoil.names:
-            try:
-                s_plus(trefoil, (c1, 0), (c2, 2))
-            except InvalidMove:
-                rejected += 1
-    assert rejected > 0
+    """``s_plus`` and ``twist_move`` share one band check."""
+    for insert in (s_plus, lambda m, a, b: twist_move(m, a, b, 1, "A")):
+        # darts on distinct faces are rejected
+        rejected = 0
+        for c1 in trefoil.names:
+            for c2 in trefoil.names:
+                try:
+                    insert(trefoil, (c1, 0), (c2, 2))
+                except InvalidMove as exc:
+                    rejected += "common face" in str(exc)
+        assert rejected > 0
+        # so are identical darts, and the simple closed curve has no arcs
+        with pytest.raises(InvalidMove, match="distinct darts"):
+            insert(trefoil, ("1", 0), ("1", 0))
+        with pytest.raises(DegenerateOnO):
+            insert(O_MAP, ("1", 0), ("1", 1))
 
 
 def test_s_plus_recovers_trefoil(double_kink, trefoil):
