@@ -41,18 +41,26 @@ def _load_one(spec: str) -> tuple[str, CurveMap]:
     raise SpliceCapError(f"no record named {name!r} in {path}")
 
 
+def _records(args):
+    """The records of ``args.file``, each noted on ``args.record`` while it
+    is processed so that ``main`` can name it in an error."""
+    for entry in ingest_table(args.file):
+        args.record = entry
+        yield entry
+
+
 def _emit_record(name: str, m: CurveMap) -> None:
     print(f"{name}: {render_code(extract_code(m))}")
 
 
 def cmd_canon(args) -> None:
-    for entry in ingest_table(args.file):
+    for entry in _records(args):
         print(f"{entry.name}: {entry.map.canonical_key.decode()}")
 
 
 def cmd_u_minus(args) -> None:
     blocks = []
-    for entry in ingest_table(args.file):
+    for entry in _records(args):
         value, witness = u_minus(entry.map)
         print(f"{entry.name}: u- = {value}")
         blocks.append((entry.name, witness))
@@ -65,32 +73,27 @@ def cmd_u_minus(args) -> None:
 
 
 def cmd_u_upper(args) -> None:
-    for entry in ingest_table(args.file):
-        budget = SearchBudget(
-            max_crossings=(
-                entry.map.n + 6 if args.max_crossings is None else args.max_crossings
-            ),
-            max_cost=args.max_cost,
-            max_nodes=10**7 if args.max_nodes is None else args.max_nodes,
-        )
+    for entry in _records(args):
+        budget = SearchBudget(args.max_crossings, args.max_cost, args.max_nodes)
         result = u_upper(entry.map, budget)
         shown = "-" if result.value is None else result.value
         print(f"{entry.name}: u <= {shown} ({result.status.value})")
 
 
 def _surface_csv(args) -> None:
-    print("name,n,chi_max,nonorientable_at_max,crosscap,genus")
-    for entry in ingest_table(args.file):
+    lines = ["name,n,chi_max,nonorientable_at_max,crosscap,genus"]
+    for entry in _records(args):
         r = ak_min_genus(entry.map)
         crosscap = crosscap_alt(entry.map)
-        print(
+        lines.append(
             f"{entry.name},{entry.n},{r.chi_max},"
             f"{str(r.nonorientable_at_max).lower()},{crosscap},{r.genus}"
         )
+    print("\n".join(lines))  # all rows or nothing: a bad record prints no CSV
 
 
 def cmd_classify(args) -> None:
-    for entry in ingest_table(args.file):
+    for entry in _records(args):
         print(f"{entry.name}: {classify_projection(entry.map)}")
 
 
@@ -130,24 +133,34 @@ def cmd_sum(args) -> None:
     _emit_sum(args.left, args.right)
 
 
+def _witness_blocks(path) -> list[tuple[str | None, list[str]]]:
+    """Split a witness file into ``(base, steps)`` blocks, one per ``BASE``
+    line; steps before any ``BASE`` line form a block with base ``None``."""
+    blocks: list[tuple[str | None, list[str]]] = [(None, [])]
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.split()[0] == "BASE":
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise ParseError(f"BASE line names no record: {line!r}")
+            blocks.append((parts[1].strip(), []))
+        else:
+            blocks[-1][1].append(line)
+    if len(blocks) > 1 and blocks[0][1]:
+        raise ParseError("witness steps before the first BASE line")
+    return blocks if len(blocks) == 1 else blocks[1:]
+
+
 def cmd_verify_witness(args) -> None:
     name, m = _load_one(args.projection)
-    lines = [
-        ln.strip()
-        for ln in Path(args.script).read_text().splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if lines and lines[0].startswith("BASE"):
-        parts = lines[0].split(None, 1)
-        if len(parts) != 2:
-            raise ParseError(f"BASE line names no record: {lines[0]!r}")
-        base = parts[1].strip()
-        if base != name and base != m.canonical_key.decode():
-            raise SpliceCapError(
-                f"witness is for base {base!r}, not {name!r}"
-            )
-        lines = lines[1:]
-    witness = Witness(m.canonical_key, tuple(lines))
+    blocks = _witness_blocks(args.script)
+    bases = (None, name, m.canonical_key.decode())
+    steps = next((steps for base, steps in blocks if base in bases), None)
+    if steps is None:
+        raise SpliceCapError(f"no witness block in {args.script} has BASE {name!r}")
+    witness = Witness(m.canonical_key, tuple(steps))
     result = verify_witness(m, witness)
     print(
         f"{name}: valid={str(result.valid).lower()} "
@@ -242,6 +255,11 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        entry = getattr(args, "record", None)
+        what = "input" if entry is None else f"{entry.name} ({entry.n} crossings)"
+        print(f"error: {what} is too deep to compute recursively", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -302,6 +302,25 @@ def _sub_factor(m: CurveMap, orbit: list[int], s: int, length: int) -> CurveMap:
     return CurveMap(dense_opp(opp, crossings), names, 0)
 
 
+def closing_stretch(word) -> tuple[int, int] | None:
+    """The first cyclic stretch ``(start, length)`` of a Gauss word, shorter
+    than the word, that holds both visits of each of its labels; ``None``
+    when there is none, i.e. when the word is prime."""
+    k = len(word)
+    for s in range(k):
+        seen: set[int] = set()
+        closed = 0
+        for length in range(1, k):
+            lab = word[(s + length - 1) % k]
+            if lab in seen:
+                closed += 1
+            else:
+                seen.add(lab)
+            if closed == len(seen):
+                return s, length
+    return None
+
+
 def decompose_prime(m: CurveMap) -> list[CurveMap]:
     """Maximal connected-sum factorization of a knot projection.
 
@@ -318,22 +337,13 @@ def decompose_prime(m: CurveMap) -> list[CurveMap]:
         if m.n == 0:
             return
         orbit = list(m.curve_components[0])
-        word = [m.opp[d] >> 2 for d in orbit]
-        k = len(word)
-        for s in range(k):
-            seen: set[int] = set()
-            closed = 0
-            for length in range(1, k):
-                lab = word[(s + length - 1) % k]
-                if lab in seen:
-                    closed += 1
-                else:
-                    seen.add(lab)
-                if closed == len(seen):
-                    split(_sub_factor(m, orbit, s, length))
-                    split(_sub_factor(m, orbit, s + length, k - length))
-                    return
-        factors.append(m)
+        stretch = closing_stretch([m.opp[d] >> 2 for d in orbit])
+        if stretch is None:
+            factors.append(m)
+            return
+        s, length = stretch
+        split(_sub_factor(m, orbit, s, length))
+        split(_sub_factor(m, orbit, s + length, len(orbit) - length))
 
     split(m)
     factors.sort(key=lambda f: f.canonical_key)

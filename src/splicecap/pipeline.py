@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -69,18 +69,7 @@ class ReportRow:
     all_equal: bool
 
 
-COLUMNS = [
-    "name",
-    "n",
-    "u_minus",
-    "u_upper_value",
-    "u_upper_status",
-    "crosscap_alt",
-    "genus",
-    "class_label",
-    "external_crosscap",
-    "all_equal",
-]
+COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 def bundled_table_path() -> Path:
@@ -166,10 +155,7 @@ def verify_observation(
             continue
         m = entry.map
         value, _ = u_minus(m)
-        budget = SearchBudget(
-            max_crossings=m.n + 6, max_cost=value, max_nodes=search_nodes
-        )
-        upper = u_upper(m, budget)
+        upper = u_upper(m, SearchBudget(max_nodes=search_nodes))
         cc = crosscap_alt(m)
         ext = lookup.get(entry.name)
         equal = value == cc and upper.value == value
@@ -206,21 +192,17 @@ def render_report(rows: list[ReportRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
     for r in sorted(rows, key=lambda r: (r.n, r.name)):
-        writer.writerow(
-            [
-                r.name,
-                r.n,
-                r.u_minus,
-                "" if r.u_upper_value is None else r.u_upper_value,
-                r.u_upper_status,
-                r.crosscap_alt,
-                r.genus,
-                r.class_label,
-                "" if r.external_crosscap is None else r.external_crosscap,
-                str(r.all_equal).lower(),
-            ]
-        )
+        writer.writerow([_cell(getattr(r, c)) for c in COLUMNS])
     return buf.getvalue()
+
+
+def _cell(value):
+    """CSV text of a report field: empty for ``None``, lower-case booleans."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value
 
 
 def emit_report(rows: list[ReportRow], path) -> None:

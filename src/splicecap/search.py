@@ -4,9 +4,10 @@
 sequences to the simple closed curve; it is computed by shortest path with
 0/1 weights over canonical forms (kink removals are free).  ``u_upper``
 additionally allows the inverse insertions at zero (kink) or unit (band)
-cost, giving an upper bound for the two-way splice count; values up to three
-are already exact because the classes of projections with counts 0, 1 and 2
-are the same for both numbers.
+cost, giving an upper bound for the two-way splice count.  Its only proof
+of exactness is the class theorem: projections with two-way count 0, 1 and
+2 are exactly those with ``u_minus`` 0, 1 and 2, so a descent value of at
+most three is exact.
 """
 
 from __future__ import annotations
@@ -267,14 +268,14 @@ def u_minus(m: CurveMap) -> tuple[int, Witness]:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Truncation caps for the two-way search over an infinite move graph."""
+    """Truncation caps for the two-way search; ``u_upper`` defaults unset ones."""
 
-    max_crossings: int
+    max_crossings: int | None = None
     max_cost: int | None = None
-    max_nodes: int = 10**7
+    max_nodes: int | None = None
 
     def __post_init__(self):
-        if self.max_crossings < 1 or self.max_nodes < 1:
+        if any(c is not None and c < 1 for c in (self.max_crossings, self.max_nodes)):
             raise InvalidMove("budget caps must be positive")
         if self.max_cost is not None and self.max_cost < 0:
             raise InvalidMove("max_cost must be non-negative")
@@ -315,27 +316,28 @@ def _insertion_moves(m: CurveMap):
                 yield line, _insert_band(m, d1, d2), 1
 
 
-def u_upper(m: CurveMap, budget: SearchBudget | None = None) -> UResult:
+def u_upper(m: CurveMap, budget: SearchBudget = SearchBudget()) -> UResult:
     """Best two-way splice count found under the budget.
 
     Kink moves cost nothing, band splices and insertions cost one.  The
     descent optimum seeds the search, so the result never exceeds
-    ``u_minus``.  Counts up to three are exact outright (the classes with
-    two-way count 0, 1, 2 coincide with the descent classes, and the count
-    never rises above the descent count); beyond that the search reports
-    an upper bound unless it provably exhausted every cheaper state.
+    ``u_minus``.  A seed of at most three is ``EXACT`` by the class theorem
+    (module docstring).  The search itself never proves a bound: free kink
+    insertions carry every state it expands to the crossing cap at no cost,
+    so some cheaper path always lies past the cap, and a value it reaches is
+    ``UPPER_BOUND_ONLY`` (``EXHAUSTED`` when above ``max_cost``).
     """
     if components(m) != 1:
         raise MultiComponentError("unknotting counts need a knot projection")
     seed_value, seed_witness = u_minus(m)
-    if budget is None:
-        budget = SearchBudget(m.n + 6, seed_value, 10**7)
-    if budget.max_crossings < m.n:
+    max_crossings = m.n + 6 if budget.max_crossings is None else budget.max_crossings
+    max_cost = seed_value if budget.max_cost is None else budget.max_cost
+    max_nodes = 10**7 if budget.max_nodes is None else budget.max_nodes
+    if max_crossings < m.n:
         raise InvalidMove("budget.max_crossings below the input crossing count")
-    if seed_value <= 3 and (budget.max_cost is None or seed_value <= budget.max_cost):
+    if seed_value <= 3 and seed_value <= max_cost:
         return UResult(seed_value, SearchStatus.EXACT, seed_witness)
 
-    max_cost = budget.max_cost if budget.max_cost is not None else seed_value
     cap = min(max_cost, seed_value - 1)  # only strict improvements matter
     start = m.canonical_key
     dist: dict[bytes, int] = {start: 0}
@@ -343,39 +345,27 @@ def u_upper(m: CurveMap, budget: SearchBudget | None = None) -> UResult:
     specs: dict[bytes, tuple] = {start: (m.opp, m.names, m.free_circles)}
     parent: dict[bytes, tuple[bytes, str]] = {}
     dq: deque[tuple[int, bytes]] = deque([(0, start)])
-    pruned_min: int | None = None
     goal_dist: int | None = None
     pops = 0
-    aborted = False
     while dq:
         d, key = dq.popleft()
         if d != dist.get(key):
             continue
-        if key == O_KEY:
-            goal_dist = d
-            break
         if goal_dist is not None and d >= goal_dist:
             break
         pops += 1
-        if pops > budget.max_nodes:
-            aborted = True
+        if pops > max_nodes:
             break
         cur = CurveMap(*specs[key])
         moves = [
             (f"{'RI-' if cost == 0 else 'S-'} {name}", child, cost)
             for name, cost, child in _descents(cur)
         ]
-        if cur.n < budget.max_crossings:
+        if cur.n < max_crossings:
             moves.extend(_insertion_moves(cur))
-        else:
-            # insertions suppressed here: remember the cheapest suppression
-            if pruned_min is None or d < pruned_min:
-                pruned_min = d
         for line, child, cost in moves:
             nd = d + cost
             if nd > cap:
-                if pruned_min is None or nd < pruned_min:
-                    pruned_min = nd
                 continue
             ck = child.canonical_key
             if ck in dist and dist[ck] <= nd:
@@ -383,28 +373,23 @@ def u_upper(m: CurveMap, budget: SearchBudget | None = None) -> UResult:
             dist[ck] = nd
             specs[ck] = (child.opp, child.names, child.free_circles)
             parent[ck] = (key, line)
-            if ck == O_KEY and (goal_dist is None or nd < goal_dist):
+            if ck == O_KEY:
                 goal_dist = nd
             if cost == 0:
                 dq.appendleft((nd, ck))
             else:
                 dq.append((nd, ck))
 
-    if goal_dist is not None and goal_dist < seed_value:
+    if goal_dist is not None:
         chain = []
         key = O_KEY
-        while key != m.canonical_key:
+        while key != start:
             key, line = parent[key]
             chain.append(line)
-        witness = Witness(m.canonical_key, tuple(reversed(chain)))
+        witness = Witness(start, tuple(reversed(chain)))
         value = goal_dist
     else:
         value, witness = seed_value, seed_witness
     if value > max_cost:
         return UResult(None, SearchStatus.EXHAUSTED, None, pops)
-    exact = (
-        not aborted
-        and (pruned_min is None or pruned_min >= value)
-    )
-    status = SearchStatus.EXACT if exact else SearchStatus.UPPER_BOUND_ONLY
-    return UResult(value, status, witness, pops)
+    return UResult(value, SearchStatus.UPPER_BOUND_ONLY, witness, pops)

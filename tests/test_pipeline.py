@@ -1,3 +1,4 @@
+import inspect
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,9 @@ from splicecap import (
     ingest_table,
     verify_observation,
 )
+from splicecap.cli import main
+from splicecap.curvemap import extract_code, render_code
+from splicecap.families import gen_torus
 from splicecap.pipeline import render_report
 
 
@@ -219,6 +223,52 @@ def test_cli_verify_witness(record_file, tmp_path):
     bad.write_text("RI- 1\n")
     res = run_cli("verify-witness", f"{record_file}:3_1", str(bad))
     assert res.returncode == 1
+
+
+def test_cli_verify_witness_replays_u_minus_output(record_file, tmp_path):
+    """``verify-witness`` picks the block of its record from the file that
+    ``u-minus --witness`` writes, also when that block is not the first."""
+    witness_out = tmp_path / "w.txt"
+    res = run_cli("u-minus", str(record_file), "--witness", str(witness_out))
+    assert res.returncode == 0, res.stderr
+    for name, counts in (("4_1", "s_count=2"), ("3_1", "s_count=1")):
+        res = run_cli("verify-witness", f"{record_file}:{name}", str(witness_out))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith(f"{name}: valid=true {counts} ")
+    other = tmp_path / "other.gauss"
+    other.write_text("5_1: 1+ 2+ 3+ 4+ 5+ 1+ 2+ 3+ 4+ 5+\n")
+    res = run_cli("verify-witness", f"{other}:5_1", str(witness_out))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "no witness block" in res.stderr
+
+
+def test_cli_crosscap_bad_record_prints_no_csv(tmp_path):
+    """A record the crosscap run rejects leaves stdout empty: no partial CSV."""
+    bad = tmp_path / "bad.gauss"
+    bad.write_text("3_1: 1+ 2+ 3+ 1+ 2+ 3+\nx: 1+ 1+ | 2+ 2+\n")
+    res = run_cli("crosscap", str(bad))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["u-minus", "crosscap"])
+def test_cli_deep_recursion_is_an_input_error(command, tmp_path, capsys):
+    """A record deeper than the recursion limit ends in a one-line error that
+    names its crossing count, not a traceback."""
+    path = tmp_path / "torus.gauss"
+    path.write_text(f"deep: {render_code(extract_code(gen_torus(100)))}\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        code = main([command, str(path)])
+    finally:
+        sys.setrecursionlimit(limit)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: deep (199 crossings) is too deep")
+    assert err.count("\n") == 1
 
 
 def test_cli_verify_witness_bare_base(record_file, tmp_path):

@@ -210,6 +210,16 @@ def test_u_upper_witness_replays(table_maps):
     assert check.valid and check.s_count == result.value
 
 
+def test_u_upper_unset_caps_take_defaults(table_maps):
+    """An unset cap means n + 6 crossings and the descent value as cost, so
+    a budget naming only the node cap runs the same search as the explicit
+    one, and past the shortcut the search only bounds the count."""
+    m = table_maps["8x1"]
+    explicit = u_upper(m, SearchBudget(m.n + 6, 4, 40))
+    assert u_upper(m, SearchBudget(max_nodes=40)) == explicit
+    assert explicit.status is SearchStatus.UPPER_BOUND_ONLY
+
+
 def test_u_minus_additive_on_family_sums(trefoil):
     r = gen_rational(1, 2)
     s = connected_sum(trefoil, None, r, None)

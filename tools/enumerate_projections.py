@@ -42,6 +42,7 @@ from splicecap.curvemap import (  # noqa: E402
 from splicecap.errors import NotRealizable  # noqa: E402
 from splicecap.families import (  # noqa: E402
     _pretzel_columns,
+    closing_stretch,
     gen_pretzel,
     gen_rational,
     gen_torus,
@@ -87,22 +88,6 @@ def parity_ok(word: tuple[int, ...]) -> bool:
             first[lab] = i
         else:
             if (i - first[lab]) % 2 == 0:
-                return False
-    return True
-
-
-def word_is_prime(word: tuple[int, ...]) -> bool:
-    k = len(word)
-    for s in range(k):
-        seen: set[int] = set()
-        closed = 0
-        for length in range(1, k):
-            lab = word[(s + length - 1) % k]
-            if lab in seen:
-                closed += 1
-            else:
-                seen.add(lab)
-            if closed == len(seen):
                 return False
     return True
 
@@ -154,7 +139,7 @@ def main(out_path: str, n_max: int = 8) -> None:
         scanned = kept = 0
         for word in normal_form_words(n):
             scanned += 1
-            if not parity_ok(word) or not word_is_prime(word):
+            if not parity_ok(word) or closing_stretch(word) is not None:
                 continue
             for m in spherical_realizations(word):
                 kept += 1
