@@ -5,8 +5,9 @@ The package computes, for knot projections given as signed Gauss codes:
 * the splice unknotting count ``u_minus`` (minimum number of non-kink
   splices over all descents to the simple closed curve) with replayable
   witnesses,
-* bounded searches for the two-way count ``u_upper`` that also allows
-  inserting kinks and half-twist bands,
+* upper bounds for the two-way count ``u_upper``, which also allows
+  inserting kinks and half-twist bands, from band insertions followed by
+  an exact descent,
 * state-surface Euler characteristics and crosscap numbers of the
   alternating knots the projections carry (minimal-genus branching),
 * twist-region family generators and the classifier of projections with
@@ -73,14 +74,17 @@ from .pipeline import (
     verify_observation,
 )
 from .search import (
+    EqualityReport,
     SearchBudget,
     SearchStatus,
     UResult,
     VerifyResult,
     Witness,
+    check_upper_bound,
     enumerate_descents,
-    reduce_ri,
+    equality_report,
     replay,
+    sigma_from_witness,
     u_minus,
     u_upper,
     verify_witness,
@@ -93,6 +97,7 @@ from .splices import (
     classify_splice,
     is_seifert_state,
     make_state,
+    reduce_ri,
     ri_plus,
     s_plus,
     seifert_genus,
@@ -100,14 +105,6 @@ from .splices import (
     state_chi,
     twist_move,
 )
-from .surfaces import (
-    AKResult,
-    EqualityReport,
-    ak_min_genus,
-    check_upper_bound,
-    crosscap_alt,
-    equality_report,
-    sigma_from_witness,
-)
+from .surfaces import AKResult, ak_min_genus, crosscap_alt
 
 __version__ = "0.1.0"

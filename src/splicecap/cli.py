@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .curvemap import CurveMap, extract_code, render_code
+from .curvemap import O_KEY, CurveMap, extract_code, render_code
 from .errors import ParseError, SpliceCapError
 from .families import (
     classify_projection,
@@ -28,7 +28,8 @@ from .pipeline import (
     verify_observation,
 )
 from .search import SearchBudget, Witness, u_minus, u_upper, verify_witness
-from .surfaces import ak_min_genus, crosscap_alt
+from .splices import reduce_ri
+from .surfaces import ak_min_genus
 
 
 def _load_one(spec: str) -> tuple[str, CurveMap]:
@@ -84,7 +85,8 @@ def _surface_csv(args) -> None:
     lines = ["name,n,chi_max,nonorientable_at_max,crosscap,genus"]
     for entry in _records(args):
         r = ak_min_genus(entry.map)
-        crosscap = crosscap_alt(entry.map)
+        # crosscap_alt's value without running the branching a second time
+        crosscap = 0 if reduce_ri(entry.map).canonical_key == O_KEY else r.crosscap
         lines.append(
             f"{entry.name},{entry.n},{r.chi_max},"
             f"{str(r.nonorientable_at_max).lower()},{crosscap},{r.genus}"

@@ -29,7 +29,7 @@ from .curvemap import (
     O_KEY,
 )
 from .errors import InvalidMove, MultiComponentError
-from .search import reduce_ri
+from .splices import reduce_ri
 
 __all__ = [
     "FamilySpec",

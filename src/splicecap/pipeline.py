@@ -55,8 +55,10 @@ class ExternalCrosscapRow:
     crosscap: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
+    """One report line; slotted, since a report holds one per table entry."""
+
     name: str
     n: int
     u_minus: int

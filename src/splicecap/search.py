@@ -3,17 +3,17 @@
 ``u_minus`` is the minimum number of non-kink splices over all full descent
 sequences to the simple closed curve; it is computed by shortest path with
 0/1 weights over canonical forms (kink removals are free).  ``u_upper``
-additionally allows the inverse insertions at zero (kink) or unit (band)
-cost, giving an upper bound for the two-way splice count.  Its only proof
-of exactness is the class theorem: projections with two-way count 0, 1 and
-2 are exactly those with ``u_minus`` 0, 1 and 2, so a descent value of at
-most three is exact.
+bounds the two-way count, which also allows the inverse insertions, by
+``k`` band insertions followed by an exact descent, and skips every class
+whose crosscap number already rules it out (crosscap <= ``u_minus``).  Its
+only proof of exactness is the class theorem: projections with two-way
+count 0, 1 and 2 are exactly those with ``u_minus`` 0, 1 and 2, so a
+descent value of at most three is exact.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from .curvemap import (
@@ -26,8 +26,8 @@ from .errors import InvalidMove, MultiComponentError, ParseError, SpliceCapError
 from .splices import (
     SmoothingChoice,
     SpliceKind,
+    State,
     _insert_band,
-    _smooth_pairings,
     classify_splice,
     oriented_pairing,
     ri_plus,
@@ -35,6 +35,7 @@ from .splices import (
     smooth,
     twist_move,
 )
+from .surfaces import crosscap_alt
 
 __all__ = [
     "Witness",
@@ -45,9 +46,12 @@ __all__ = [
     "u_minus",
     "u_upper",
     "verify_witness",
-    "reduce_ri",
     "enumerate_descents",
     "replay",
+    "sigma_from_witness",
+    "check_upper_bound",
+    "equality_report",
+    "EqualityReport",
 ]
 
 
@@ -183,18 +187,6 @@ def verify_witness(p: CurveMap, w: Witness) -> VerifyResult:
 # Descent search (exact)
 
 
-def reduce_ri(m: CurveMap) -> CurveMap:
-    """Remove kinks until none remain: each round smooths every current
-    monogon crossing at its disoriented pairing."""
-    if components(m) != 1:
-        raise MultiComponentError("kink reduction needs a knot projection")
-    while m.monogon_crossings:
-        m = _smooth_pairings(
-            m, {c: 1 - oriented_pairing(m, c) for c in m.monogon_crossings}
-        )
-    return m
-
-
 def _descents(m: CurveMap):
     """Lazily yield ``(label, cost, successor)`` for every one-crossing
     descent in natural label order; ``cost`` is 0 for a kink removal and 1
@@ -289,107 +281,131 @@ class SearchStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class UResult:
+    """A two-way bound; ``nodes_expanded`` counts the classes checked."""
+
     value: int | None
     status: SearchStatus
     witness: Witness | None
     nodes_expanded: int = 0
 
 
-def _insertion_moves(m: CurveMap):
-    """Generator of (step line, successor, cost) for kink and band inserts."""
-    for c, name in enumerate(m.names):
-        for slot in range(4):
-            for side in ("L", "R"):
-                yield (
-                    f"RI+ {name}.{slot} {side}",
-                    ri_plus(m, (name, slot), side),
-                    0,
-                )
+def _band_insertions(m: CurveMap):
+    """Lazily yield ``(step, successor)`` for every ``S+`` on ``m``."""
     out = m.out_darts
     for orbit in m.face_orbits:
-        for i in range(len(orbit)):
-            for j in range(i + 1, len(orbit)):
-                d1, d2 = orbit[i], orbit[j]
-                if out[d1] != out[d2]:
-                    continue
-                line = f"S+ {m.dart_name(d1)} {m.dart_name(d2)}"
-                yield line, _insert_band(m, d1, d2), 1
+        for i, d1 in enumerate(orbit):
+            for d2 in orbit[i + 1 :]:
+                if out[d1] == out[d2]:  # else the band cuts the curve in two
+                    line = f"S+ {m.dart_name(d1)} {m.dart_name(d2)}"
+                    yield line, _insert_band(m, d1, d2)
+
+
+def _band_layers(m: CurveMap, max_crossings: int):
+    """Lazily yield ``(k, q, steps)`` for the distinct classes reached from
+    ``m`` by ``k`` ``S+`` steps, layer by layer up to ``max_crossings``;
+    ``q`` is the first map found in its class and ``steps`` replay it."""
+    layer = [(m, ())]
+    k = 0
+    while layer and m.n + k < max_crossings:
+        k += 1
+        seen: set[bytes] = set()
+        nxt = []
+        for cur, prefix in layer:
+            for line, q in _band_insertions(cur):
+                if q.canonical_key not in seen:
+                    seen.add(q.canonical_key)
+                    steps = prefix + (line,)
+                    nxt.append((q, steps))
+                    yield k, q, steps
+        layer = nxt
 
 
 def u_upper(m: CurveMap, budget: SearchBudget = SearchBudget()) -> UResult:
     """Best two-way splice count found under the budget.
 
-    Kink moves cost nothing, band splices and insertions cost one.  The
-    descent optimum seeds the search, so the result never exceeds
-    ``u_minus``.  A seed of at most three is ``EXACT`` by the class theorem
-    (module docstring).  The search itself never proves a bound: free kink
-    insertions carry every state it expands to the crossing cap at no cost,
-    so some cheaper path always lies past the cap, and a value it reaches is
+    The descent optimum seeds the bound, so the result never exceeds
+    ``u_minus``, and a seed of at most three is ``EXACT`` by the class
+    theorem (module docstring).  Otherwise the search checks, layer by
+    layer, the classes ``q`` reached by ``k`` band insertions; each bounds
+    the count by ``k + u_minus(q)``.  Since crosscap <= ``u_minus``, a class
+    with ``k + crosscap_alt(q)`` no better than the best value so far (or
+    above ``max_cost``) is skipped; skipped classes still grow the next
+    layer.  ``max_nodes`` caps the classes checked, ``max_crossings`` the
+    size of every class, and the layers end where ``k`` alone reaches the
+    bound.  The search never proves its value minimal: the value is
     ``UPPER_BOUND_ONLY`` (``EXHAUSTED`` when above ``max_cost``).
     """
     if components(m) != 1:
         raise MultiComponentError("unknotting counts need a knot projection")
-    seed_value, seed_witness = u_minus(m)
+    value, witness = u_minus(m)
     max_crossings = m.n + 6 if budget.max_crossings is None else budget.max_crossings
-    max_cost = seed_value if budget.max_cost is None else budget.max_cost
+    max_cost = value if budget.max_cost is None else budget.max_cost
     max_nodes = 10**7 if budget.max_nodes is None else budget.max_nodes
     if max_crossings < m.n:
         raise InvalidMove("budget.max_crossings below the input crossing count")
-    if seed_value <= 3 and seed_value <= max_cost:
-        return UResult(seed_value, SearchStatus.EXACT, seed_witness)
+    if value <= 3 and value <= max_cost:
+        return UResult(value, SearchStatus.EXACT, witness)
 
-    cap = min(max_cost, seed_value - 1)  # only strict improvements matter
-    start = m.canonical_key
-    dist: dict[bytes, int] = {start: 0}
-    # states are stored compactly; maps are rebuilt on expansion
-    specs: dict[bytes, tuple] = {start: (m.opp, m.names, m.free_circles)}
-    parent: dict[bytes, tuple[bytes, str]] = {}
-    dq: deque[tuple[int, bytes]] = deque([(0, start)])
-    goal_dist: int | None = None
-    pops = 0
-    while dq:
-        d, key = dq.popleft()
-        if d != dist.get(key):
-            continue
-        if goal_dist is not None and d >= goal_dist:
+    checked = 0
+    for k, q, steps in _band_layers(m, max_crossings):
+        bound = min(value, max_cost + 1)  # a useful value lies below this
+        if k >= bound or checked == max_nodes:
             break
-        pops += 1
-        if pops > max_nodes:
-            break
-        cur = CurveMap(*specs[key])
-        moves = [
-            (f"{'RI-' if cost == 0 else 'S-'} {name}", child, cost)
-            for name, cost, child in _descents(cur)
-        ]
-        if cur.n < max_crossings:
-            moves.extend(_insertion_moves(cur))
-        for line, child, cost in moves:
-            nd = d + cost
-            if nd > cap:
-                continue
-            ck = child.canonical_key
-            if ck in dist and dist[ck] <= nd:
-                continue
-            dist[ck] = nd
-            specs[ck] = (child.opp, child.names, child.free_circles)
-            parent[ck] = (key, line)
-            if ck == O_KEY:
-                goal_dist = nd
-            if cost == 0:
-                dq.appendleft((nd, ck))
-            else:
-                dq.append((nd, ck))
-
-    if goal_dist is not None:
-        chain = []
-        key = O_KEY
-        while key != start:
-            key, line = parent[key]
-            chain.append(line)
-        witness = Witness(start, tuple(reversed(chain)))
-        value = goal_dist
-    else:
-        value, witness = seed_value, seed_witness
+        checked += 1
+        if k + crosscap_alt(q) < bound:
+            q_value, q_witness = u_minus(q)
+            if k + q_value < value:
+                value = k + q_value
+                witness = Witness(m.canonical_key, steps + q_witness.steps)
     if value > max_cost:
-        return UResult(None, SearchStatus.EXHAUSTED, None, pops)
-    return UResult(value, SearchStatus.UPPER_BOUND_ONLY, witness, pops)
+        return UResult(None, SearchStatus.EXHAUSTED, None, checked)
+    return UResult(value, SearchStatus.UPPER_BOUND_ONLY, witness, checked)
+
+
+# ---------------------------------------------------------------------------
+# Certificates linking the descent count to state surfaces
+
+
+def sigma_from_witness(p: CurveMap, w: Witness) -> State:
+    """The state a pure-descent witness induces on its base projection.
+
+    Crossings consumed by band splices keep that disoriented smoothing;
+    crossings consumed by kink removals take the other (oriented) smoothing.
+    The resulting circle count is one plus the witness's kink-removal count.
+    """
+    pair_by_name: dict[str, int] = {}
+    cur = p
+    for line in w.steps:
+        parts = line.split()
+        if len(parts) != 2 or parts[0] not in ("S-", "RI-"):
+            raise InvalidMove(f"not a pure-descent step: {line!r}")
+        name = parts[1]
+        nxt = apply_step(cur, line)
+        dis = 1 - oriented_pairing(cur, cur.crossing_index(name))
+        pair_by_name[name] = dis if parts[0] == "S-" else 1 - dis
+        cur = nxt
+    if cur.canonical_key != O_KEY:
+        raise InvalidMove("witness does not end at the simple closed curve")
+    if set(pair_by_name) != set(p.names):
+        raise InvalidMove("witness does not consume every crossing of the base")
+    return State(p, tuple(pair_by_name[nm] for nm in p.names))
+
+
+@dataclass(frozen=True)
+class EqualityReport:
+    crosscap: int
+    u_minus: int
+
+    @property
+    def equal(self) -> bool:
+        return self.crosscap == self.u_minus
+
+
+def check_upper_bound(m: CurveMap) -> bool:
+    """Self-test: the crosscap number never exceeds the splice unknotting
+    count."""
+    return crosscap_alt(m) <= u_minus(m)[0]
+
+
+def equality_report(m: CurveMap) -> EqualityReport:
+    return EqualityReport(crosscap_alt(m), u_minus(m)[0])

@@ -22,6 +22,7 @@ __all__ = [
     "SpliceKind",
     "State",
     "smooth",
+    "reduce_ri",
     "classify_splice",
     "make_state",
     "apply_state",
@@ -110,6 +111,18 @@ def smooth(m: CurveMap, crossing: str, choice: SmoothingChoice) -> CurveMap:
     """
     c = m.crossing_index(crossing)
     return _smooth_pairings(m, {c: pairing_for(m, c, choice)})
+
+
+def reduce_ri(m: CurveMap) -> CurveMap:
+    """Remove kinks until none remain: each round smooths every current
+    monogon crossing at its disoriented pairing."""
+    if components(m) != 1:
+        raise MultiComponentError("kink reduction needs a knot projection")
+    while m.monogon_crossings:
+        m = _smooth_pairings(
+            m, {c: 1 - oriented_pairing(m, c) for c in m.monogon_crossings}
+        )
+    return m
 
 
 def classify_splice(m: CurveMap, crossing: str, choice: SmoothingChoice) -> SpliceKind:

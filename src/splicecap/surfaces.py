@@ -14,18 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curvemap import CurveMap, O_KEY, components, dense_opp, label_sort_key
-from .errors import InvalidMove, MultiComponentError
-from .search import Witness, apply_step, reduce_ri, u_minus
-from .splices import State, _smooth_pairings, oriented_pairing, seifert_genus
+from .errors import MultiComponentError
+from .splices import _smooth_pairings, oriented_pairing, reduce_ri, seifert_genus
 
 __all__ = [
     "AKResult",
     "ak_min_genus",
     "crosscap_alt",
-    "sigma_from_witness",
-    "check_upper_bound",
-    "equality_report",
-    "EqualityReport",
 ]
 
 
@@ -123,9 +118,10 @@ def ak_min_genus(m: CurveMap) -> AKResult:
 
     The main run yields the maximal Euler characteristic.  Whether a
     non-orientable state attains it cannot be read off one run (face
-    tie-breaks may funnel into the Seifert leaf), so each crossing is also
-    anchored once at its disoriented smoothing and the branching maximizes
-    the rest; that decides the dichotomy exactly.
+    tie-breaks may funnel into the Seifert leaf), so crossings are anchored
+    in turn at their disoriented smoothing and the branching maximizes the
+    rest; that decides the dichotomy exactly.  No state beats ``chi_max``,
+    so the loop stops at the first anchored run that reaches it.
     """
     if components(m) != 1:
         raise MultiComponentError("minimal-genus run needs a knot projection")
@@ -143,6 +139,8 @@ def ak_min_genus(m: CurveMap) -> AKResult:
         chi = sub_circles - m.n
         if best_nonseifert is None or chi > best_nonseifert:
             best_nonseifert = chi
+        if chi == chi_max:
+            break
     assert best_nonseifert is not None
     assert chi_max == max(chi_seifert, best_nonseifert), (
         "branching max must equal the best state"
@@ -163,48 +161,3 @@ def crosscap_alt(m: CurveMap) -> int:
     if reduce_ri(m).canonical_key == O_KEY:
         return 0
     return ak_min_genus(m).crosscap
-
-
-def sigma_from_witness(p: CurveMap, w: Witness) -> State:
-    """The state a pure-descent witness induces on its base projection.
-
-    Crossings consumed by band splices keep that disoriented smoothing;
-    crossings consumed by kink removals take the other (oriented) smoothing.
-    The resulting circle count is one plus the witness's kink-removal count.
-    """
-    pair_by_name: dict[str, int] = {}
-    cur = p
-    for line in w.steps:
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("S-", "RI-"):
-            raise InvalidMove(f"not a pure-descent step: {line!r}")
-        name = parts[1]
-        nxt = apply_step(cur, line)
-        dis = 1 - oriented_pairing(cur, cur.crossing_index(name))
-        pair_by_name[name] = dis if parts[0] == "S-" else 1 - dis
-        cur = nxt
-    if cur.canonical_key != O_KEY:
-        raise InvalidMove("witness does not end at the simple closed curve")
-    if set(pair_by_name) != set(p.names):
-        raise InvalidMove("witness does not consume every crossing of the base")
-    return State(p, tuple(pair_by_name[nm] for nm in p.names))
-
-
-@dataclass(frozen=True)
-class EqualityReport:
-    crosscap: int
-    u_minus: int
-
-    @property
-    def equal(self) -> bool:
-        return self.crosscap == self.u_minus
-
-
-def check_upper_bound(m: CurveMap) -> bool:
-    """Self-test: the crosscap number never exceeds the splice unknotting
-    count."""
-    return crosscap_alt(m) <= u_minus(m)[0]
-
-
-def equality_report(m: CurveMap) -> EqualityReport:
-    return EqualityReport(crosscap_alt(m), u_minus(m)[0])

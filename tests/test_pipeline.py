@@ -313,6 +313,23 @@ def test_cli_verify_table(tmp_path):
     assert out.exists()
 
 
+def test_cli_verify_table_default_budget(tmp_path):
+    """The whole bundled table at the default search budget finishes."""
+    out = tmp_path / "report.csv"
+    res = run_cli(
+        "verify-table",
+        "--projections",
+        str(bundled_table_path()),
+        "--external",
+        str(bundled_external_path()),
+        "--report",
+        str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("45 rows, 0 mismatches,")
+    assert len(out.read_text().splitlines()) == 46
+
+
 def test_cli_input_error(tmp_path):
     missing = tmp_path / "missing.gauss"
     res = run_cli("u-minus", str(missing))

@@ -110,13 +110,16 @@ def test_u_upper_exhausted_status(table_maps):
 
 
 def test_u_upper_additivity_gap(table_maps):
-    """On the doubled 7_4 the two-way count drops below the descent count;
-    the bounded search at least never claims exactness at six."""
+    """On the doubled 7_4 the two-way count drops below the descent count:
+    one band insertion and a descent reach five, and the search never
+    claims that bound exact."""
     p = table_maps["7_4"]
     s = connected_sum(p, None, p, None)
     result = u_upper(s, SearchBudget(max_crossings=15, max_cost=6, max_nodes=30))
-    assert result.value == 6  # the seeded descent path
+    assert result.value == 5
     assert result.status is SearchStatus.UPPER_BOUND_ONLY
+    check = verify_witness(s, result.witness)
+    assert check.valid and check.s_count == 5
 
 
 def test_multi_circuit_equivalence(trefoil, table_maps):

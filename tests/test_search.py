@@ -220,6 +220,12 @@ def test_u_upper_unset_caps_take_defaults(table_maps):
     assert explicit.status is SearchStatus.UPPER_BOUND_ONLY
 
 
+def test_u_upper_node_cap_counts_classes_checked(table_maps):
+    """A run the node budget cuts reports exactly the classes it checked."""
+    result = u_upper(table_maps["8x1"], SearchBudget(max_nodes=40))
+    assert result.nodes_expanded == 40
+
+
 def test_u_minus_additive_on_family_sums(trefoil):
     r = gen_rational(1, 2)
     s = connected_sum(trefoil, None, r, None)

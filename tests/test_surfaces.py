@@ -20,13 +20,16 @@ from splicecap import (
     is_seifert_state,
     parse_code,
     ri_plus,
+    s_plus,
+    seifert_genus,
     sigma_from_witness,
     smooth,
     state_chi,
     u_minus,
     O_MAP,
 )
-from splicecap.splices import count_state_circles, oriented_pairing
+from splicecap.splices import _smooth_pairings, count_state_circles, oriented_pairing
+from splicecap.surfaces import _explore
 from conftest import family_members
 
 
@@ -183,3 +186,59 @@ def test_crosscap_bound_on_families():
 def test_equality_on_prime_table(table):
     for entry in table:
         assert equality_report(entry.map).equal, entry.name
+
+
+@pytest.fixture(scope="module")
+def one_band_children(table):
+    """Each prime table entry with its distinct ``S+`` children, found by
+    trying every pair of darts."""
+    out = []
+    for entry in table:
+        m = entry.map
+        darts = [(name, slot) for name in m.names for slot in range(4)]
+        children = {}
+        for i, d1 in enumerate(darts):
+            for d2 in darts[i + 1 :]:
+                try:
+                    q = s_plus(m, d1, d2)
+                except InvalidMove:
+                    continue
+                children.setdefault(q.canonical_key, q)
+        out.append((entry, list(children.values())))
+    return out
+
+
+def full_anchor_loop(m):
+    """``ak_min_genus`` as it was before the anchor loop stopped early:
+    every crossing anchored at its disoriented smoothing."""
+    chi_max = _explore(m)[0] - m.n
+    best_non = max(
+        _explore(_smooth_pairings(m, {c: 1 - oriented_pairing(m, c)}))[0] - m.n
+        for c in range(m.n)
+    )
+    genus = seifert_genus(m)
+    flag = best_non == chi_max
+    return chi_max, flag, 1 - chi_max if flag else 2 * genus + 1, genus
+
+
+def test_anchor_early_exit_matches_full_loop(one_band_children):
+    checked = 0
+    for entry, children in one_band_children:
+        for m in [entry.map, *children]:
+            r = ak_min_genus(m)
+            got = (r.chi_max, r.nonorientable_at_max, r.crosscap, r.genus)
+            assert got == full_anchor_loop(m), entry.name
+            checked += 1
+    assert checked == 45 + 374
+
+
+def test_one_band_lowers_crosscap_by_at_most_one(one_band_children):
+    """Evidence, not proof, for crosscap <= two-way count: over the table's
+    one-band children no band insertion lowers the crosscap by two."""
+    drops = {}
+    for entry, children in one_band_children:
+        cc = crosscap_alt(entry.map)
+        for q in children:
+            drop = cc - crosscap_alt(q)
+            drops[drop] = drops.get(drop, 0) + 1
+    assert drops == {1: 3, 0: 161, -1: 210}
