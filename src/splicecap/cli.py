@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .curvemap import O_KEY, CurveMap, extract_code, render_code
+from .curvemap import CurveMap, extract_code, render_code
 from .errors import ParseError, SpliceCapError
 from .families import (
     classify_projection,
@@ -86,7 +86,7 @@ def _surface_csv(args) -> None:
     for entry in _records(args):
         r = ak_min_genus(entry.map)
         # crosscap_alt's value without running the branching a second time
-        crosscap = 0 if reduce_ri(entry.map).canonical_key == O_KEY else r.crosscap
+        crosscap = 0 if reduce_ri(entry.map).n == 0 else r.crosscap
         lines.append(
             f"{entry.name},{entry.n},{r.chi_max},"
             f"{str(r.nonorientable_at_max).lower()},{crosscap},{r.genus}"
@@ -113,9 +113,6 @@ def cmd_gen(args) -> None:
         _require(args.params, 3, "gen pretzel <p> <q> <r>")
         m = gen_pretzel(*(int(x) for x in args.params))
         _emit_record("pretzel_" + "_".join(args.params), m)
-    elif kind == "sum":
-        _require(args.params, 2, "gen sum <file:name> <file:name>")
-        _emit_sum(*args.params)
     else:
         raise SpliceCapError(f"unknown family {kind!r}")
 
@@ -125,14 +122,10 @@ def _require(params, count, usage) -> None:
         raise SpliceCapError(f"usage: {usage}")
 
 
-def _emit_sum(left: str, right: str) -> None:
-    n1, m1 = _load_one(left)
-    n2, m2 = _load_one(right)
-    _emit_record(f"{n1}_sum_{n2}", connected_sum(m1, None, m2, None))
-
-
 def cmd_sum(args) -> None:
-    _emit_sum(args.left, args.right)
+    n1, m1 = _load_one(args.left)
+    n2, m2 = _load_one(args.right)
+    _emit_record(f"{n1}_sum_{n2}", connected_sum(m1, None, m2, None))
 
 
 def _witness_blocks(path) -> list[tuple[str | None, list[str]]]:
@@ -224,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gen", help="emit a family projection record")
-    p.add_argument("family", choices=["torus", "rational", "pretzel", "sum"])
+    p.add_argument("family", choices=["torus", "rational", "pretzel"])
     p.add_argument("params", nargs="*")
     p.set_defaults(func=cmd_gen)
 

@@ -26,7 +26,6 @@ from .curvemap import (
     dense_opp,
     extract_code,
     label_sort_key,
-    O_KEY,
 )
 from .errors import InvalidMove, MultiComponentError
 from .splices import reduce_ri
@@ -332,20 +331,20 @@ def decompose_prime(m: CurveMap) -> list[CurveMap]:
     if components(m) != 1:
         raise MultiComponentError("prime decomposition needs a knot projection")
     factors: list[CurveMap] = []
-
-    def split(m: CurveMap) -> None:
+    todo = [m]
+    while todo:
+        m = todo.pop()
         if m.n == 0:
-            return
+            continue
         orbit = list(m.curve_components[0])
         stretch = closing_stretch([m.opp[d] >> 2 for d in orbit])
         if stretch is None:
             factors.append(m)
-            return
+            continue
         s, length = stretch
-        split(_sub_factor(m, orbit, s, length))
-        split(_sub_factor(m, orbit, s + length, len(orbit) - length))
-
-    split(m)
+        # right half below the left, so the left half is split first
+        todo.append(_sub_factor(m, orbit, s + length, len(orbit) - length))
+        todo.append(_sub_factor(m, orbit, s, length))
     factors.sort(key=lambda f: f.canonical_key)
     return factors
 
@@ -422,12 +421,12 @@ def classify_projection(m: CurveMap) -> ClassLabel:
     if components(m) != 1:
         raise MultiComponentError("classification needs a knot projection")
     q = reduce_ri(m)
-    if q.canonical_key == O_KEY:
+    if q.n == 0:
         return ClassLabel(ClassKind.U0)
     factors = []
     for f in decompose_prime(q):
         f = reduce_ri(f)
-        if f.canonical_key != O_KEY:
+        if f.n != 0:
             factors.append(f)
     if not factors:
         return ClassLabel(ClassKind.U0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curvemap import CurveMap, O_KEY, components, dense_opp, label_sort_key
+from .curvemap import CurveMap, components, dense_opp
 from .errors import MultiComponentError
 from .splices import _smooth_pairings, oriented_pairing, reduce_ri, seifert_genus
 
@@ -31,7 +31,8 @@ class AKResult:
     ``crosscap`` is ``1 - chi_max`` when some maximal leaf is non-orientable,
     else ``2 * genus + 1`` (every maximal leaf was the Seifert state).
     ``branch_count`` totals the leaves evaluated, summed over independently
-    solved connected pieces.
+    solved connected pieces.  It depends on which smallest face each step
+    takes, so it measures the work done and is not an answer.
     """
 
     chi_max: int
@@ -50,20 +51,6 @@ def _circle_pairing(corner_dart: int) -> int:
     return 0 if (corner_dart & 3) % 2 == 1 else 1
 
 
-def _smallest_face(m: CurveMap) -> tuple[int, ...]:
-    best = None
-    best_key = None
-    for orbit in m.face_orbits:
-        key = (
-            len(orbit),
-            sorted(label_sort_key(m.names[d >> 2]) for d in orbit),
-        )
-        if best_key is None or key < best_key:
-            best, best_key = orbit, key
-    assert best is not None
-    return best
-
-
 def _forced_pairings(orbit: tuple[int, ...], opposite: int):
     """Pairings per crossing index turning the face into a state circle (or,
     with ``opposite`` set, all the other way); ``None`` if the corners demand
@@ -79,22 +66,20 @@ def _forced_pairings(orbit: tuple[int, ...], opposite: int):
 def _explore(m: CurveMap) -> tuple[int, int]:
     """Maximal circle yield over the branch tree of ``m``, its free circles
     included, and the number of leaves evaluated."""
-    if m.n == 0:
-        return m.free_circles, 1
     comps = m.graph_components
-    if len(comps) > 1:
-        # disconnected remainders are solved independently: yields add
-        total, leaves = m.free_circles, 0
+    if len(comps) != 1:
+        # a crossingless map is one leaf; disconnected remainders are
+        # solved independently, and their yields add
+        total, leaves = m.free_circles, 0 if comps else 1
         for crossings in comps:
-            names = tuple(m.names[c] for c in crossings)
-            sub_best, sub_leaves = _explore(
-                CurveMap(dense_opp(m.opp, crossings), names, 0)
-            )
+            sub_best, sub_leaves = _explore(CurveMap(dense_opp(m.opp, crossings)))
             total += sub_best
             leaves += sub_leaves
         return total, leaves
 
-    orbit = _smallest_face(m)
+    # the lemma holds for every face with at most three corners, so any
+    # smallest face will do
+    orbit = min(m.face_orbits, key=len)
     assert len(orbit) <= 3, "a connected spherical projection has a <=3-gon"
     best = None
     leaves = 0
@@ -117,8 +102,8 @@ def ak_min_genus(m: CurveMap) -> AKResult:
     quantities here are independent of the over/under pattern).
 
     The main run yields the maximal Euler characteristic.  Whether a
-    non-orientable state attains it cannot be read off one run (face
-    tie-breaks may funnel into the Seifert leaf), so crossings are anchored
+    non-orientable state attains it cannot be read off one run (the faces
+    it takes may funnel into the Seifert leaf), so crossings are anchored
     in turn at their disoriented smoothing and the branching maximizes the
     rest; that decides the dichotomy exactly.  No state beats ``chi_max``,
     so the loop stops at the first anchored run that reaches it.
@@ -126,26 +111,21 @@ def ak_min_genus(m: CurveMap) -> AKResult:
     if components(m) != 1:
         raise MultiComponentError("minimal-genus run needs a knot projection")
     genus = seifert_genus(m)
-    if m.n == 0:
-        return AKResult(1, False, 1, 0, 1)
     circles, leaves = _explore(m)
     chi_max = circles - m.n
-    chi_seifert = 1 - 2 * genus
-    best_nonseifert = None
+    flag = False
     for c in range(m.n):
         anchored = _smooth_pairings(m, {c: 1 - oriented_pairing(m, c)})
         sub_circles, sub_leaves = _explore(anchored)
         leaves += sub_leaves
-        chi = sub_circles - m.n
-        if best_nonseifert is None or chi > best_nonseifert:
-            best_nonseifert = chi
-        if chi == chi_max:
+        assert sub_circles <= circles, "no anchored run beats the main run"
+        if sub_circles == circles:
+            flag = True
             break
-    assert best_nonseifert is not None
-    assert chi_max == max(chi_seifert, best_nonseifert), (
+    chi_seifert = 1 - 2 * genus
+    assert chi_max >= chi_seifert and (flag or chi_max == chi_seifert), (
         "branching max must equal the best state"
     )
-    flag = best_nonseifert == chi_max
     crosscap = 1 - chi_max if flag else 2 * genus + 1
     return AKResult(chi_max, flag, crosscap, genus, leaves)
 
@@ -158,6 +138,6 @@ def crosscap_alt(m: CurveMap) -> int:
     """
     if components(m) != 1:
         raise MultiComponentError("crosscap needs a knot projection")
-    if reduce_ri(m).canonical_key == O_KEY:
+    if reduce_ri(m).n == 0:
         return 0
     return ak_min_genus(m).crosscap

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from splicecap import (
@@ -136,6 +138,20 @@ def test_decompose_reassembles(table, trefoil, table_maps):
         factors = decompose_prime(s)
         assert len(factors) == 2
         assert reassembles(s, factors[0], factors[1])
+
+
+def test_decompose_prime_leaves_no_cycles(table_maps):
+    """The factor lists are freed when dropped, without the cyclic
+    collector: the factorization builds no reference cycle."""
+    s = connected_sum(table_maps["7_4"], None, table_maps["5_2"], None)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            decompose_prime(s)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_table_primality(table):

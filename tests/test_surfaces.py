@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from splicecap import (
+    AKResult,
     InvalidMove,
     MultiComponentError,
     SmoothingChoice,
@@ -51,18 +52,30 @@ def brute_force_chis(m):
 SPLITTING_CODE = "1+ 2+ 3+ 4+ 7+ 1+ 8- 6+ 5+ 9+ 6+ 5+ 9+ 8- 2+ 7+ 4+ 3+"
 
 
-def test_brute_force_oracle(table):
-    """The branching result matches the full state enumeration
-    (all 2^n states, every table entry with n <= 6 and a projection whose
-    branching splits)."""
+def test_brute_force_oracle(table, table_maps, one_band_children):
+    """The branching result matches the full state enumeration (all 2^n
+    states) on every table entry with n <= 6, their distinct one-band
+    children, a few kink-grown maps and a projection whose branching
+    splits."""
     cases = [(e.name, e.map) for e in table if e.n <= 6]
+    for entry, children in one_band_children:
+        if entry.n <= 6:
+            cases.extend((f"{entry.name} S+", q) for q in children)
+    for name, side in (("3_1", "L"), ("5_2", "R"), ("6_2", "L"), ("7_4", "R")):
+        m = table_maps[name]
+        cases.append((f"{name} RI+", ri_plus(m, (m.names[0], 0), side)))
     cases.append(("splitting", build_map(parse_code(SPLITTING_CODE))))
+    seifert_only = []
     for name, m in cases:
         chi_s, best_non = brute_force_chis(m)
         r = ak_min_genus(m)
         assert r.chi_max == max(chi_s, best_non), name
         assert r.nonorientable_at_max == (best_non == r.chi_max), name
         assert chi_s == 1 - 2 * r.genus
+        if not r.nonorientable_at_max:
+            seifert_only.append(name)
+    # the anchor loop also runs to its end, not only on the curl
+    assert set(seifert_only) - {"1_1"}, seifert_only
 
 
 def test_ak_results_anchor_values(trefoil, table_maps):
@@ -79,6 +92,8 @@ def test_ak_multi_component_rejected(trefoil):
 
 def test_crosscap_unknot_convention(kink, double_kink):
     assert crosscap_alt(O_MAP) == 0
+    # the bare circle is one leaf, with no crossing to anchor
+    assert ak_min_genus(O_MAP) == AKResult(1, False, 1, 0, 1)
     assert crosscap_alt(kink) == 0
     assert crosscap_alt(double_kink) == 0
 

@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Run perfbench on a parent checkout and on this one, in alternating pairs,
+and write the per-pair end-to-end metrics to a JSON file.
+
+Each pair runs ``perfbench/run.py --seconds 50 --trace 0`` once in the
+parent checkout and once in this one, for the ``table`` and ``descent``
+workloads on seeds 3, 4 and 5.  Which side runs first alternates from one
+pair to the next, so a slow drift of the machine's speed falls on both
+sides.  The file holds every run's metrics, the per-side medians and the
+change/parent ratio of each median, both commit ids and the facts of the
+machine.  It records only: nothing is compared against a bound.
+
+The parent checkout is any directory holding the parent commit's files (a
+``git worktree`` or a clone).  Run from anywhere, stdlib only:
+
+    python3 tools/bench.py <parent checkout> BENCH_<n>.json
+
+The twelve runs take about 13 minutes on a 2-vCPU machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+CHANGE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("table", "descent")
+SEEDS = (3, 4, 5)
+SECONDS = 50
+
+
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(root), *args], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def _revision(root: Path) -> dict:
+    """The checkout's commit, and whether its tracked files differ from it."""
+    dirty = _git(root, "status", "--porcelain", "--untracked-files=no")
+    return {"commit": _git(root, "rev-parse", "HEAD"), "dirty": bool(dirty)}
+
+
+def _machine() -> dict:
+    model = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next(
+                (ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")),
+                None,
+            )
+    except OSError:
+        pass
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "cpu_model": model,
+        "loadavg_at_start": os.getloadavg(),
+        "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        ),
+    }
+
+
+def _run(root: Path, workload: str, seed: int) -> dict:
+    """One perfbench run in ``root``: its closing JSON line, metric values
+    flattened to numbers."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{workload} seed {seed} failed in {root}:\n{proc.stderr.strip()}"
+        )
+    res = json.loads(proc.stdout.splitlines()[-1])
+    res["metrics"] = {k: m["value"] for k, m in res["metrics"].items()}
+    return res
+
+
+def _medians(runs: list[dict]) -> dict:
+    names = runs[0]["metrics"]
+    return {k: statistics.median(r["metrics"][k] for r in runs) for k in names}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("out", type=Path, help="JSON file to write")
+    args = ap.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": CHANGE}
+    report = {
+        "command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
+        "revisions": {side: _revision(root) for side, root in roots.items()},
+        "machine": _machine(),
+        "workloads": {},
+    }
+    pair = 0
+    for workload in WORKLOADS:
+        pairs = []
+        for seed in SEEDS:
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            pair += 1
+            runs = {side: _run(roots[side], workload, seed) for side in order}
+            pairs.append({"seed": seed, "first": order[0], **runs})
+            for side in order:
+                m = runs[side]["metrics"]
+                print(
+                    f"{workload} seed {seed} {side}: ops_per_s {m['ops_per_s']:.2f} "
+                    f"op_tail_ms {m['op_tail_ms']:.2f} "
+                    f"peak_rss_mb {m['peak_rss_mb']:.2f}",
+                    file=sys.stderr,
+                )
+        medians = {s: _medians([p[s] for p in pairs]) for s in roots}
+        report["workloads"][workload] = {
+            "pairs": pairs,
+            "median": medians,
+            "ratio": {
+                k: medians["change"][k] / medians["parent"][k]
+                for k in medians["parent"]
+                if medians["parent"][k]
+            },
+        }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
