@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Projection inputs are Gauss-code record files (``name: tokens`` per line);
-``<file>:<name>`` picks one record.  Exit codes: 0 success, 1 input error,
-2 internal invariant violation.
+``<file>:<name>`` picks one record.  Exit codes: 0 success, 1 input or
+usage error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -241,7 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return 1 if exc.code else 0
     try:
         args.func(args)
     except (SpliceCapError, OSError, ValueError) as exc:

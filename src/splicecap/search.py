@@ -1,8 +1,16 @@
 """Exact splice unknotting counts and the budgeted two-way search.
 
 ``u_minus`` is the minimum number of non-kink splices over all full descent
-sequences to the simple closed curve; it is computed by shortest path with
-0/1 weights over canonical forms (kink removals are free).  ``u_upper``
+sequences to the simple closed curve.  Kink removals are free, and removing
+a kink ``c`` never changes the count: ``u_minus(P) = u_minus(P - c)``.
+First, ``u_minus(P) <= u_minus(P - c)``, since a descent of ``P`` may remove
+``c`` first at no cost.  Second, ``u_minus(P - c) <= u_minus(P)``: along any
+descent of ``P``, ``c`` stays a kink until it is smoothed (its monogon has
+no corner elsewhere), and every monogon at another crossing has no corner
+at ``c``, so it survives in ``P - c``; dropping the step at ``c`` leaves a
+descent of ``P - c`` whose kink removals are still kink removals.  So the
+count is computed on ``reduce_ri(P)``, by a memoized descent over kink-free
+canonical forms in which every step is a band splice.  ``u_upper``
 bounds the two-way count, which also allows the inverse insertions, by
 ``k`` band insertions followed by an exact descent, and skips every class
 whose crosscap number already rules it out (crosscap <= ``u_minus``).  Its
@@ -14,6 +22,7 @@ descent value of at most three is exact.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 from .curvemap import (
@@ -30,6 +39,7 @@ from .splices import (
     _insert_band,
     classify_splice,
     oriented_pairing,
+    reduce_ri,
     ri_plus,
     s_plus,
     smooth,
@@ -59,7 +69,7 @@ __all__ = [
 # Witness scripts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """An ordered splice/insertion script certifying an unknotting count.
 
@@ -214,6 +224,7 @@ _UMINUS_MEMO: dict[bytes, int] = {O_KEY: 0}
 
 
 def _u_minus_value(m: CurveMap) -> int:
+    m = reduce_ri(m)  # kink removals are free (module docstring)
     key = m.canonical_key
     cached = _UMINUS_MEMO.get(key)
     if cached is not None:
@@ -248,7 +259,7 @@ def u_minus(m: CurveMap) -> tuple[int, Witness]:
         else:
             raise AssertionError("optimal descent step must exist")
         cur = child
-        steps.append(f"{'RI-' if cost == 0 else 'S-'} {name}")
+        steps.append(sys.intern(f"{'RI-' if cost == 0 else 'S-'} {name}"))
         remaining -= cost
     assert cur.canonical_key == O_KEY
     return value, Witness(m.canonical_key, tuple(steps))

@@ -1,6 +1,7 @@
 import pytest
 
 from splicecap import (
+    SmoothingChoice,
     bundled_external_path,
     bundled_table_path,
     build_map,
@@ -10,7 +11,11 @@ from splicecap import (
     ingest_external,
     ingest_table,
     parse_code,
+    smooth,
 )
+
+# n = 9; the crosscap branching leaves a disconnected remainder on this one
+SPLITTING_CODE = "1+ 2+ 3+ 4+ 7+ 1+ 8- 6+ 5+ 9+ 6+ 5+ 9+ 8- 2+ 7+ 4+ 3+"
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +65,21 @@ def family_members(max_crossings):
                 if 2 * (p + q + r) - 2 <= max_crossings:
                     out.append((f"pretzel({p},{q},{r})", gen_pretzel(p, q, r)))
     return out
+
+
+_EXHAUSTIVE_MEMO: dict[bytes, int] = {}
+
+
+def exhaustive_u_minus(m):
+    """The descent minimum memoized over every class, kinks included: the
+    search without the kink quotient, an oracle for ``u_minus``."""
+    if m.n == 0:
+        return 0
+    key = m.canonical_key
+    if key not in _EXHAUSTIVE_MEMO:
+        _EXHAUSTIVE_MEMO[key] = min(
+            (0 if m.crossing_index(name) in m.monogon_crossings else 1)
+            + exhaustive_u_minus(smooth(m, name, SmoothingChoice.DISORIENTED))
+            for name in m.names
+        )
+    return _EXHAUSTIVE_MEMO[key]

@@ -256,8 +256,10 @@ def test_cli_crosscap_bad_record_prints_no_csv(tmp_path):
 
 @pytest.mark.parametrize("command", ["u-minus", "crosscap"])
 def test_cli_deep_recursion_is_an_input_error(command, tmp_path, capsys):
-    """A record deeper than the recursion limit ends in a one-line error that
-    names its crossing count, not a traceback."""
+    """A record with more crossings than the recursion limit allows frames:
+    ``crosscap`` recurses once per smoothing step and ends in a one-line
+    error that names the crossing count, not a traceback; ``u-minus``
+    recurses once per band splice of the kink-free descent, so it answers."""
     path = tmp_path / "torus.gauss"
     path.write_text(f"deep: {render_code(extract_code(gen_torus(100)))}\n")
     limit = sys.getrecursionlimit()
@@ -266,10 +268,29 @@ def test_cli_deep_recursion_is_an_input_error(command, tmp_path, capsys):
         code = main([command, str(path)])
     finally:
         sys.setrecursionlimit(limit)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    if command == "u-minus":
+        assert (code, out, err) == (0, "deep: u- = 1\n", "")
+        return
     assert code == 1
     assert err.startswith("error: deep (199 crossings) is too deep")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "sum", "a:x", "b:y"], ["u-minus"], ["no-such-command"], []]
+)
+def test_cli_usage_error_exits_1(argv, capsys):
+    """A usage error is an input error (exit 1); 2 stays reserved for an
+    internal invariant violation."""
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["u-minus", "--help"]) == 0
+    assert "usage: splicecap" in capsys.readouterr().out
 
 
 def test_cli_verify_witness_bare_base(record_file, tmp_path):

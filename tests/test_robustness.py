@@ -28,6 +28,7 @@ from splicecap import (
     verify_witness,
 )
 from splicecap.surfaces import ak_min_genus
+from conftest import exhaustive_u_minus
 
 
 def random_insertions(m, steps, rng):
@@ -81,7 +82,7 @@ def test_kink_insertions_preserve_counts(table_maps):
         for _ in range(3):
             dart = (rng.choice(grown.names), rng.randrange(4))
             grown = ri_plus(grown, dart, rng.choice("LR"))
-        assert u_minus(grown)[0] == value
+        assert u_minus(grown)[0] == value == exhaustive_u_minus(grown)
         assert crosscap_alt(grown) == cc
         assert equivalent(reduce_ri(grown), m)
 

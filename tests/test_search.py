@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from splicecap import (
@@ -22,6 +24,7 @@ from splicecap import (
     O_KEY,
     O_MAP,
 )
+from conftest import SPLITTING_CODE, exhaustive_u_minus, family_members
 
 
 def test_u_minus_base_cases(kink):
@@ -270,3 +273,25 @@ def test_u_minus_against_naive_oracle(table):
         if entry.n > 7:
             continue
         assert u_minus(entry.map)[0] == _naive_u_minus(entry.map), entry.name
+
+
+def test_u_minus_kink_quotient_against_exhaustive_oracle(table_maps):
+    """``u_minus`` runs on kink-free classes only; the memoized descent over
+    every class, kinks included, gives the same values on the table,
+    kink-grown maps, 11-crossing sums, twist-family members up to 14
+    crossings and a 9-crossing record."""
+    rng = Random(2024)
+    cases = list(table_maps.items())
+    for name, m in table_maps.items():
+        grown = m
+        for _ in range(2):
+            dart = (rng.choice(grown.names), rng.randrange(4))
+            grown = ri_plus(grown, dart, rng.choice("LR"))
+        cases.append((f"{name} RI+", grown))
+    for a, b in (("3_1", "8x1"), ("4_1", "7_4"), ("5_2", "6_2")):
+        s = connected_sum(table_maps[a], None, table_maps[b], None)
+        cases.append((f"{a}#{b}", s))
+    cases += [(n, m) for n, m in family_members(14) if not n.startswith("torus")]
+    cases.append(("splitting", build_map(parse_code(SPLITTING_CODE))))
+    for name, m in cases:
+        assert u_minus(m)[0] == exhaustive_u_minus(m), name

@@ -31,7 +31,7 @@ from splicecap import (
 )
 from splicecap.splices import _smooth_pairings, count_state_circles, oriented_pairing
 from splicecap.surfaces import _explore
-from conftest import family_members
+from conftest import SPLITTING_CODE, family_members
 
 
 def brute_force_chis(m):
@@ -46,10 +46,6 @@ def brute_force_chis(m):
         elif best_non is None or chi > best_non:
             best_non = chi
     return chi_s, best_non
-
-
-# n = 9; the branching leaves a disconnected remainder on this one
-SPLITTING_CODE = "1+ 2+ 3+ 4+ 7+ 1+ 8- 6+ 5+ 9+ 6+ 5+ 9+ 8- 2+ 7+ 4+ 3+"
 
 
 def test_brute_force_oracle(table, table_maps, one_band_children):

@@ -10,12 +10,19 @@ sides.  The file holds every run's metrics, the per-side medians and the
 change/parent ratio of each median, both commit ids and the facts of the
 machine.  It records only: nothing is compared against a bound.
 
+It also times scale probes that the 50 s workloads cannot reach, once per
+side, each in a fresh interpreter (so the descent memo starts cold) under
+a 120 s timeout: cold ``u_minus`` on ``Pretzel(5,5,5)`` and on
+``7_4 # 7_4 # 7_4``.  A probe records its value and seconds, or
+``"timeout"``.
+
 The parent checkout is any directory holding the parent commit's files (a
 ``git worktree`` or a clone).  Run from anywhere, stdlib only:
 
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
-The twelve runs take about 13 minutes on a 2-vCPU machine.
+The twelve runs take about 13 minutes on a 2-vCPU machine, and the probes
+at most 8 more.
 """
 
 from __future__ import annotations
@@ -34,6 +41,21 @@ CHANGE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("table", "descent")
 SEEDS = (3, 4, 5)
 SECONDS = 50
+PROBE_TIMEOUT_S = 120
+# each probe builds ``m`` from the package ``sc``; only ``u_minus`` is timed
+PROBES = {
+    "u_minus Pretzel(5,5,5)": "m = sc.gen_pretzel(5, 5, 5)",
+    "u_minus 7_4#7_4#7_4": (
+        "p = next(e.map for e in sc.ingest_table(sc.bundled_table_path())"
+        " if e.name == '7_4')\n"
+        "m = sc.connected_sum(sc.connected_sum(p, None, p, None), None, p, None)"
+    ),
+}
+PROBE_TIMED = """
+t0 = time.perf_counter()
+value = sc.u_minus(m)[0]
+print(json.dumps({"value": value, "seconds": time.perf_counter() - t0}))
+"""
 
 
 def _git(root: Path, *args: str) -> str:
@@ -87,6 +109,23 @@ def _run(root: Path, workload: str, seed: int) -> dict:
     return res
 
 
+def _probe(root: Path, setup: str) -> dict | str:
+    """One scale probe in a fresh interpreter importing ``root``'s package:
+    ``{"value", "seconds"}``, or ``"timeout"``."""
+    code = f"import json, time\nimport splicecap as sc\n{setup}\n{PROBE_TIMED}"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env,
+            capture_output=True, text=True, timeout=PROBE_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if proc.returncode != 0:
+        raise RuntimeError(f"probe failed in {root}:\n{proc.stderr.strip()}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def _medians(runs: list[dict]) -> dict:
     names = runs[0]["metrics"]
     return {k: statistics.median(r["metrics"][k] for r in runs) for k in names}
@@ -130,6 +169,10 @@ def main(argv=None) -> int:
                 if medians["parent"][k]
             },
         }
+    report["probes"] = {"timeout_s": PROBE_TIMEOUT_S}
+    for name, setup in PROBES.items():
+        report["probes"][name] = {side: _probe(roots[side], setup) for side in roots}
+        print(f"{name}: {report['probes'][name]}", file=sys.stderr)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
