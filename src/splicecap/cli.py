@@ -42,26 +42,18 @@ def _load_one(spec: str) -> tuple[str, CurveMap]:
     raise SpliceCapError(f"no record named {name!r} in {path}")
 
 
-def _records(args):
-    """The records of ``args.file``, each noted on ``args.record`` while it
-    is processed so that ``main`` can name it in an error."""
-    for entry in ingest_table(args.file):
-        args.record = entry
-        yield entry
-
-
 def _emit_record(name: str, m: CurveMap) -> None:
     print(f"{name}: {render_code(extract_code(m))}")
 
 
 def cmd_canon(args) -> None:
-    for entry in _records(args):
+    for entry in ingest_table(args.file):
         print(f"{entry.name}: {entry.map.canonical_key.decode()}")
 
 
 def cmd_u_minus(args) -> None:
     blocks = []
-    for entry in _records(args):
+    for entry in ingest_table(args.file):
         value, witness = u_minus(entry.map)
         print(f"{entry.name}: u- = {value}")
         blocks.append((entry.name, witness))
@@ -74,7 +66,7 @@ def cmd_u_minus(args) -> None:
 
 
 def cmd_u_upper(args) -> None:
-    for entry in _records(args):
+    for entry in ingest_table(args.file):
         budget = SearchBudget(args.max_crossings, args.max_cost, args.max_nodes)
         result = u_upper(entry.map, budget)
         shown = "-" if result.value is None else result.value
@@ -83,7 +75,7 @@ def cmd_u_upper(args) -> None:
 
 def _surface_csv(args) -> None:
     lines = ["name,n,chi_max,nonorientable_at_max,crosscap,genus"]
-    for entry in _records(args):
+    for entry in ingest_table(args.file):
         r = ak_min_genus(entry.map)
         # crosscap_alt's value without running the branching a second time
         crosscap = 0 if reduce_ri(entry.map).n == 0 else r.crosscap
@@ -95,7 +87,7 @@ def _surface_csv(args) -> None:
 
 
 def cmd_classify(args) -> None:
-    for entry in _records(args):
+    for entry in ingest_table(args.file):
         print(f"{entry.name}: {classify_projection(entry.map)}")
 
 
@@ -253,11 +245,6 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        entry = getattr(args, "record", None)
-        what = "input" if entry is None else f"{entry.name} ({entry.n} crossings)"
-        print(f"error: {what} is too deep to compute recursively", file=sys.stderr)
-        return 1
     return 0
 
 

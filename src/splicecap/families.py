@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .curvemap import (
     CurveMap,
@@ -203,19 +203,19 @@ def _pretzel_columns(cols: tuple[int, ...]) -> CurveMap:
 
 
 def gen_family(spec: FamilySpec) -> CurveMap:
-    """Standard projection of a family member (single component, spherical)."""
-    if isinstance(spec, Torus):
-        return gen_torus(spec.l)
-    if isinstance(spec, Rational):
-        return gen_rational(spec.m, spec.n)
-    if isinstance(spec, Pretzel):
-        return gen_pretzel(spec.p, spec.q, spec.r)
-    if isinstance(spec, Sum):
-        out = gen_family(spec.parts[0])
-        for part in spec.parts[1:]:
-            out = connected_sum(out, None, gen_family(part), None)
-        return out
-    raise InvalidMove(f"unknown family spec {spec!r}")
+    """Standard projection of a family member (single component, spherical);
+    the parts of a ``Sum`` are prime members, summed left to right."""
+    maps = []
+    for part in spec.parts if isinstance(spec, Sum) else (spec,):
+        if isinstance(part, Torus):
+            maps.append(gen_torus(part.l))
+        elif isinstance(part, Rational):
+            maps.append(gen_rational(part.m, part.n))
+        elif isinstance(part, Pretzel):
+            maps.append(gen_pretzel(part.p, part.q, part.r))
+        else:
+            raise InvalidMove(f"not a prime family spec: {part!r}")
+    return reduce(lambda a, b: connected_sum(a, None, b, None), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +420,8 @@ def classify_projection(m: CurveMap) -> ClassLabel:
     """
     if components(m) != 1:
         raise MultiComponentError("classification needs a knot projection")
-    q = reduce_ri(m)
-    if q.n == 0:
-        return ClassLabel(ClassKind.U0)
     factors = []
-    for f in decompose_prime(q):
+    for f in decompose_prime(reduce_ri(m)):
         f = reduce_ri(f)
         if f.n != 0:
             factors.append(f)

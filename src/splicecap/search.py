@@ -224,19 +224,24 @@ _UMINUS_MEMO: dict[bytes, int] = {O_KEY: 0}
 
 
 def _u_minus_value(m: CurveMap) -> int:
-    m = reduce_ri(m)  # kink removals are free (module docstring)
-    key = m.canonical_key
-    cached = _UMINUS_MEMO.get(key)
-    if cached is not None:
-        return cached
-    best = m.n  # every descent uses at most n band splices
-    # a successor key repeated under another label is a memo hit
-    for _, cost, child in _descents(m):
-        sub = cost + _u_minus_value(child)
-        if sub < best:
-            best = sub
-    _UMINUS_MEMO[key] = best
-    return best
+    """``u_minus`` of ``m`` by a depth-first worklist over the kink-free
+    classes below ``reduce_ri(m)`` (module docstring): every step of a
+    kink-free map is a band splice, so a class is one more than its least child."""
+    memo = _UMINUS_MEMO
+    root = reduce_ri(m)
+    stack: list[tuple[CurveMap, list[CurveMap] | None]] = [(root, None)]
+    while stack:
+        m, children = stack.pop()
+        if children is not None:
+            memo[m.canonical_key] = 1 + min(memo[c.canonical_key] for c in children)
+        elif m.canonical_key not in memo:
+            children = [
+                reduce_ri(smooth(m, name, SmoothingChoice.DISORIENTED))
+                for name in m.names
+            ]
+            stack.append((m, children))
+            stack.extend((c, None) for c in children if c.canonical_key not in memo)
+    return memo[root.canonical_key]
 
 
 def u_minus(m: CurveMap) -> tuple[int, Witness]:

@@ -114,15 +114,28 @@ def smooth(m: CurveMap, crossing: str, choice: SmoothingChoice) -> CurveMap:
 
 
 def reduce_ri(m: CurveMap) -> CurveMap:
-    """Remove kinks until none remain: each round smooths every current
-    monogon crossing at its disoriented pairing."""
+    """Remove kinks until none remain, in one smoothing: removing a kink
+    deletes its two adjacent visits from the cyclic traversal word, so the
+    crossings to remove are those a stack cancels from the word."""
     if components(m) != 1:
         raise MultiComponentError("kink reduction needs a knot projection")
-    while m.monogon_crossings:
-        m = _smooth_pairings(
-            m, {c: 1 - oriented_pairing(m, c) for c in m.monogon_crossings}
-        )
-    return m
+    if not m.monogon_crossings:
+        return m
+    word: list[int] = []
+    for d in m.curve_components[0]:
+        if word and word[-1] == d >> 2:
+            word.pop()
+        else:
+            word.append(d >> 2)
+    # the word is cyclic: equal letters left at its two ends meet too
+    i, j = 0, len(word) - 1
+    while i < j and word[i] == word[j]:
+        i += 1
+        j -= 1
+    kept = set(word[i : j + 1])
+    return _smooth_pairings(
+        m, {c: 1 - oriented_pairing(m, c) for c in range(m.n) if c not in kept}
+    )
 
 
 def classify_splice(m: CurveMap, crossing: str, choice: SmoothingChoice) -> SpliceKind:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curvemap import CurveMap, components, dense_opp
+from .curvemap import CurveMap, components
 from .errors import MultiComponentError
 from .splices import _smooth_pairings, oriented_pairing, reduce_ri, seifert_genus
 
@@ -30,9 +30,10 @@ class AKResult:
 
     ``crosscap`` is ``1 - chi_max`` when some maximal leaf is non-orientable,
     else ``2 * genus + 1`` (every maximal leaf was the Seifert state).
-    ``branch_count`` totals the leaves evaluated, summed over independently
-    solved connected pieces.  It depends on which smallest face each step
-    takes, so it measures the work done and is not an answer.
+    ``branch_count`` totals the leaves of the runs' branch trees; where a
+    remainder splits, a tree's leaves are the product of the pieces' leaves,
+    not their sum.  It depends on which smallest face each step takes, so it
+    measures the work done and is not an answer.
     """
 
     chi_max: int
@@ -65,33 +66,28 @@ def _forced_pairings(orbit: tuple[int, ...], opposite: int):
 
 def _explore(m: CurveMap) -> tuple[int, int]:
     """Maximal circle yield over the branch tree of ``m``, its free circles
-    included, and the number of leaves evaluated."""
-    comps = m.graph_components
-    if len(comps) != 1:
-        # a crossingless map is one leaf; disconnected remainders are
-        # solved independently, and their yields add
-        total, leaves = m.free_circles, 0 if comps else 1
-        for crossings in comps:
-            sub_best, sub_leaves = _explore(CurveMap(dense_opp(m.opp, crossings)))
-            total += sub_best
-            leaves += sub_leaves
-        return total, leaves
+    included, and the number of leaves evaluated.
 
-    # the lemma holds for every face with at most three corners, so any
-    # smallest face will do
-    orbit = min(m.face_orbits, key=len)
-    assert len(orbit) <= 3, "a connected spherical projection has a <=3-gon"
-    best = None
-    leaves = 0
-    for opposite in ((0, 1) if len(orbit) == 3 else (0,)):
-        chosen = _forced_pairings(orbit, opposite)
-        if chosen is None:
+    The lemma holds for every face with at most three corners, so any
+    smallest face will do.  A disconnected map needs no split: each of its
+    sub-maps with crossings has such a face, and their circle counts add.
+    """
+    best = leaves = 0
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        if not m.n:
+            leaves += 1
+            best = max(best, m.free_circles)
             continue
-        circles, sub_leaves = _explore(_smooth_pairings(m, chosen))
-        leaves += sub_leaves
-        if best is None or circles > best:
-            best = circles
-    assert best is not None, "every branch of a triangle was inconsistent"
+        orbit = min(m.face_orbits, key=len)
+        assert len(orbit) <= 3, "a spherical projection has a <=3-gon"
+        size = len(stack)
+        for opposite in ((0, 1) if len(orbit) == 3 else (0,)):
+            chosen = _forced_pairings(orbit, opposite)
+            if chosen is not None:
+                stack.append(_smooth_pairings(m, chosen))
+        assert len(stack) > size, "every branch of a triangle was inconsistent"
     return best, leaves
 
 

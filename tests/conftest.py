@@ -13,6 +13,7 @@ from splicecap import (
     parse_code,
     smooth,
 )
+from splicecap.splices import _smooth_pairings, oriented_pairing
 
 # n = 9; the crosscap branching leaves a disconnected remainder on this one
 SPLITTING_CODE = "1+ 2+ 3+ 4+ 7+ 1+ 8- 6+ 5+ 9+ 6+ 5+ 9+ 8- 2+ 7+ 4+ 3+"
@@ -83,3 +84,13 @@ def exhaustive_u_minus(m):
             for name in m.names
         )
     return _EXHAUSTIVE_MEMO[key]
+
+
+def round_wise_reduce_ri(m):
+    """Kink reduction one layer of nested kinks per round, each round
+    smoothing every current monogon crossing: an oracle for ``reduce_ri``."""
+    while m.monogon_crossings:
+        m = _smooth_pairings(
+            m, {c: 1 - oriented_pairing(m, c) for c in m.monogon_crossings}
+        )
+    return m

@@ -6,6 +6,7 @@ from splicecap import (
     MultiComponentError,
     SearchBudget,
     SearchStatus,
+    SignedGaussCode,
     SmoothingChoice,
     SpliceKind,
     Witness,
@@ -13,7 +14,9 @@ from splicecap import (
     connected_sum,
     enumerate_descents,
     equivalent,
+    extract_code,
     gen_rational,
+    gen_torus,
     parse_code,
     reduce_ri,
     ri_plus,
@@ -24,7 +27,12 @@ from splicecap import (
     O_KEY,
     O_MAP,
 )
-from conftest import SPLITTING_CODE, exhaustive_u_minus, family_members
+from conftest import (
+    SPLITTING_CODE,
+    exhaustive_u_minus,
+    family_members,
+    round_wise_reduce_ri,
+)
 
 
 def test_u_minus_base_cases(kink):
@@ -96,6 +104,34 @@ def test_reduce_ri(kink, double_kink, trefoil):
     assert reduce_ri(double_kink).canonical_key == O_KEY
     grown = ri_plus(trefoil, ("2", 1), "R")
     assert equivalent(reduce_ri(grown), trefoil)
+
+
+def test_reduce_ri_matches_round_wise_oracle(table_maps):
+    """The one-pass reduction against the round-wise loop, on kink-grown
+    maps whose later kinks sit on the newest kink (so kinks nest) and on
+    one-splice children of twist columns (a chain of nested kinks)."""
+    rng = Random(5)
+    cases = []
+    for m in table_maps.values():
+        grown = ri_plus(m, (m.names[0], rng.randrange(4)), rng.choice("LR"))
+        for _ in range(3):
+            dart = (grown.names[-1], rng.randrange(4))
+            grown = ri_plus(grown, dart, rng.choice("LR"))
+            cases.append(grown)
+    for l in range(5, 31):
+        t = gen_torus(l)
+        for name in (t.names[0], t.names[l]):
+            cases.append(smooth(t, name, SmoothingChoice.DISORIENTED))
+    # every rotation of a few Gauss words, so that the walk also starts
+    # inside nested kinks and they close across its two ends
+    for m in cases[:9] + cases[-2:]:
+        (word,) = extract_code(m).components
+        for k in range(len(word)):
+            cases.append(build_map(SignedGaussCode((word[k:] + word[:k],))))
+    for m in cases:
+        got, want = reduce_ri(m), round_wise_reduce_ri(m)
+        for attr in ("opp", "names", "free_circles", "canonical_key"):
+            assert getattr(got, attr) == getattr(want, attr), (attr, m)
 
 
 def test_reduction_order_independence(table):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -29,6 +29,7 @@ from splicecap import (
     u_minus,
     O_MAP,
 )
+from splicecap.curvemap import CurveMap
 from splicecap.splices import _smooth_pairings, count_state_circles, oriented_pairing
 from splicecap.surfaces import _explore
 from conftest import SPLITTING_CODE, family_members
@@ -72,6 +73,23 @@ def test_brute_force_oracle(table, table_maps, one_band_children):
             seifert_only.append(name)
     # the anchor loop also runs to its end, not only on the curl
     assert set(seifert_only) - {"1_1"}, seifert_only
+
+
+def test_branching_on_disjoint_unions(table):
+    """A disconnected map is branched as one tree: its circle yield is the
+    sum of its parts' yields, and for n <= 12 the best of all its states.
+    Unions pair consecutive table entries, and every two entries with at
+    most six crossings."""
+    maps = [e.map for e in table]
+    small = [m for m in maps if m.n <= 6]
+    pairs = [*zip(maps, maps[1:]), *combinations_with_replacement(small, 2)]
+    for a, b in pairs:
+        union = CurveMap(a.opp + tuple(d + 4 * a.n for d in b.opp))
+        circles = _explore(union)[0]
+        assert circles == _explore(a)[0] + _explore(b)[0], (a, b)
+        if union.n <= 12:
+            states = product((0, 1), repeat=union.n)
+            assert circles == max(count_state_circles(union, ps) for ps in states)
 
 
 def test_ak_results_anchor_values(trefoil, table_maps):

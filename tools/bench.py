@@ -12,9 +12,10 @@ machine.  It records only: nothing is compared against a bound.
 
 It also times scale probes that the 50 s workloads cannot reach, once per
 side, each in a fresh interpreter (so the descent memo starts cold) under
-a 120 s timeout: cold ``u_minus`` on ``Pretzel(5,5,5)`` and on
-``7_4 # 7_4 # 7_4``.  A probe records its value and seconds, or
-``"timeout"``.
+a 120 s timeout: cold ``u_minus`` on ``Pretzel(5,5,5)``, on
+``7_4 # 7_4 # 7_4`` and on ``gen_torus(300)``, and ``crosscap_alt`` on
+``gen_torus(600)``.  A probe records its value and seconds, ``"timeout"``,
+or ``{"error": <last stderr line>}`` when it raises.
 
 The parent checkout is any directory holding the parent commit's files (a
 ``git worktree`` or a clone).  Run from anywhere, stdlib only:
@@ -22,7 +23,7 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, and the probes
-at most 8 more.
+at most 16 more.
 """
 
 from __future__ import annotations
@@ -42,19 +43,22 @@ WORKLOADS = ("table", "descent")
 SEEDS = (3, 4, 5)
 SECONDS = 50
 PROBE_TIMEOUT_S = 120
-# each probe builds ``m`` from the package ``sc``; only ``u_minus`` is timed
+# name -> (set-up building ``m`` from the package ``sc``, the timed call)
 PROBES = {
-    "u_minus Pretzel(5,5,5)": "m = sc.gen_pretzel(5, 5, 5)",
+    "u_minus Pretzel(5,5,5)": ("m = sc.gen_pretzel(5, 5, 5)", "sc.u_minus(m)[0]"),
     "u_minus 7_4#7_4#7_4": (
         "p = next(e.map for e in sc.ingest_table(sc.bundled_table_path())"
         " if e.name == '7_4')\n"
-        "m = sc.connected_sum(sc.connected_sum(p, None, p, None), None, p, None)"
+        "m = sc.connected_sum(sc.connected_sum(p, None, p, None), None, p, None)",
+        "sc.u_minus(m)[0]",
     ),
+    "u_minus gen_torus(300)": ("m = sc.gen_torus(300)", "sc.u_minus(m)[0]"),
+    "crosscap_alt gen_torus(600)": ("m = sc.gen_torus(600)", "sc.crosscap_alt(m)"),
 }
 PROBE_TIMED = """
 t0 = time.perf_counter()
-value = sc.u_minus(m)[0]
-print(json.dumps({"value": value, "seconds": time.perf_counter() - t0}))
+value = {call}
+print(json.dumps({{"value": value, "seconds": time.perf_counter() - t0}}))
 """
 
 
@@ -109,10 +113,13 @@ def _run(root: Path, workload: str, seed: int) -> dict:
     return res
 
 
-def _probe(root: Path, setup: str) -> dict | str:
+def _probe(root: Path, setup: str, call: str) -> dict | str:
     """One scale probe in a fresh interpreter importing ``root``'s package:
-    ``{"value", "seconds"}``, or ``"timeout"``."""
-    code = f"import json, time\nimport splicecap as sc\n{setup}\n{PROBE_TIMED}"
+    ``{"value", "seconds"}``, ``"timeout"``, or ``{"error"}``."""
+    code = (
+        f"import json, time\nimport splicecap as sc\n{setup}\n"
+        + PROBE_TIMED.format(call=call)
+    )
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     try:
         proc = subprocess.run(
@@ -122,7 +129,8 @@ def _probe(root: Path, setup: str) -> dict | str:
     except subprocess.TimeoutExpired:
         return "timeout"
     if proc.returncode != 0:
-        raise RuntimeError(f"probe failed in {root}:\n{proc.stderr.strip()}")
+        lines = proc.stderr.strip().splitlines()
+        return {"error": lines[-1] if lines else f"exit code {proc.returncode}"}
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -170,8 +178,10 @@ def main(argv=None) -> int:
             },
         }
     report["probes"] = {"timeout_s": PROBE_TIMEOUT_S}
-    for name, setup in PROBES.items():
-        report["probes"][name] = {side: _probe(roots[side], setup) for side in roots}
+    for name, (setup, call) in PROBES.items():
+        report["probes"][name] = {
+            side: _probe(roots[side], setup, call) for side in roots
+        }
         print(f"{name}: {report['probes'][name]}", file=sys.stderr)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
