@@ -109,6 +109,13 @@ class Pretzel:
 class Sum:
     parts: tuple
 
+    def __post_init__(self):
+        if not self.parts:
+            raise InvalidMove("a sum needs at least one part")
+        for part in self.parts:
+            if not isinstance(part, (Torus, Rational, Pretzel)):
+                raise InvalidMove(f"not a prime family spec: {part!r}")
+
     @property
     def crossings(self) -> int:
         return sum(p.crossings for p in self.parts)

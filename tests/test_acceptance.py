@@ -6,6 +6,7 @@ asserted where the criterion states one.
 """
 
 import time
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 from random import Random
@@ -32,6 +33,7 @@ from splicecap import (
     O_KEY,
 )
 from splicecap.curvemap import SignedGaussCode, extract_code
+from splicecap.search import _band_insertions
 from splicecap.splices import _smooth_pairings, count_state_circles, oriented_pairing
 from splicecap.surfaces import ak_min_genus
 from conftest import family_members
@@ -39,6 +41,7 @@ from conftest import family_members
 WITNESS_PATH = Path(__file__).resolve().parents[1] / (
     "src/splicecap/data/witness_74_sum.witness"
 )
+NINE_PATH = WITNESS_PATH.parent / "projections_9.gauss"
 
 
 def report(criterion: str, detail: str) -> None:
@@ -297,3 +300,32 @@ def test_criterion_9_property_suites(table):
 
     elapsed = time.time() - t0
     report("9", f"property suites clean in {elapsed:.1f}s")
+
+
+def test_nine_crossing_projections():
+    """Criteria 3-5 and witness replay outside the table, on the 101 prime
+    kink-free projections with nine double points; and, as evidence for
+    crosscap <= two-way count, no one-band child drops the crosscap by two."""
+    t0 = time.time()
+    entries = ingest_table(NINE_PATH)
+    assert len({e.map.canonical_key for e in entries}) == len(entries) == 101
+    values = Counter()
+    drops = Counter()
+    for e in entries:
+        assert e.n == 9 and e.prime and not e.map.monogon_crossings, e.name
+        value, witness = u_minus(e.map)
+        check = verify_witness(e.map, witness)
+        assert check.valid and check.s_count == value, e.name
+        # crosscap <= u- holds with equality, so with criterion 3 the
+        # converse of criterion 5 holds as well
+        assert crosscap_alt(e.map) == value, e.name
+        assert classify_projection(e.map).index == min(value, 3), e.name
+        values[value] += 1
+        children = {q.canonical_key: q for _, q in _band_insertions(e.map)}
+        for q in children.values():
+            drops[value - crosscap_alt(q)] += 1
+    assert values == {1: 1, 2: 3, 3: 38, 4: 59}
+    assert drops == {1: 4, 0: 511, -1: 843}
+    elapsed = time.time() - t0
+    report("9-crossing", f"u- = crosscap, classes, witnesses and band drops on "
+                         f"{len(entries)} projections in {elapsed:.1f}s")

@@ -55,6 +55,10 @@ def test_parameter_bounds():
         gen_rational(1, 1)
     with pytest.raises(InvalidMove):
         gen_pretzel(0, 1, 1)
+    with pytest.raises(InvalidMove):
+        Sum(())
+    with pytest.raises(InvalidMove):
+        Sum((Torus(2), Sum((Torus(2),))))
 
 
 def test_gen_torus_is_trefoil(trefoil):

@@ -32,7 +32,9 @@ def test_bundled_table_loads(table):
 
 def test_enumeration_tool_keeps_record_lines(tmp_path):
     """Regenerating into an existing table keeps each class's record line:
-    re-running the curation tool renames nothing."""
+    re-running the curation tool renames nothing.  Its growth by ``RI+`` and
+    ``S+`` reaches every spherical curve: the class counts per crossing
+    number are the published ones (OEIS A008989)."""
     tool = Path(__file__).resolve().parent.parent / "tools" / "enumerate_projections.py"
     out = tmp_path / "table.gauss"
     shutil.copy(bundled_table_path(), out)
@@ -40,6 +42,10 @@ def test_enumeration_tool_keeps_record_lines(tmp_path):
         [sys.executable, str(tool), str(out), "7"], capture_output=True, text=True
     )
     assert res.returncode == 0, res.stderr
+    classes = [
+        int(line.split()[1]) for line in res.stdout.splitlines() if line.startswith("n=")
+    ]
+    assert classes == [1, 2, 6, 19, 76, 376, 2194]
 
     def records(path):
         return [

@@ -13,9 +13,10 @@ machine.  It records only: nothing is compared against a bound.
 It also times scale probes that the 50 s workloads cannot reach, once per
 side, each in a fresh interpreter (so the descent memo starts cold) under
 a 120 s timeout: cold ``u_minus`` on ``Pretzel(5,5,5)``, on
-``7_4 # 7_4 # 7_4`` and on ``gen_torus(300)``, and ``crosscap_alt`` on
-``gen_torus(600)``.  A probe records its value and seconds, ``"timeout"``,
-or ``{"error": <last stderr line>}`` when it raises.
+``7_4 # 7_4 # 7_4`` and on ``gen_torus(300)``, ``crosscap_alt`` on
+``gen_torus(600)``, and acceptance criterion 8's ``u_upper`` call on
+``7_4 # 7_4`` (``sum_74.gauss``).  A probe records its value and seconds,
+``"timeout"``, or ``{"error": <last stderr line>}`` when it raises.
 
 The parent checkout is any directory holding the parent commit's files (a
 ``git worktree`` or a clone).  Run from anywhere, stdlib only:
@@ -23,7 +24,7 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, and the probes
-at most 16 more.
+at most 20 more.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ PROBES = {
     ),
     "u_minus gen_torus(300)": ("m = sc.gen_torus(300)", "sc.u_minus(m)[0]"),
     "crosscap_alt gen_torus(600)": ("m = sc.gen_torus(600)", "sc.crosscap_alt(m)"),
+    "u_upper 7_4#7_4 (criterion 8)": (
+        "m = sc.ingest_table(sc.bundled_witness_path().parent / 'sum_74.gauss')[0].map",
+        "sc.u_upper(m, sc.SearchBudget(max_crossings=18, max_cost=5, max_nodes=1500))"
+        ".value",
+    ),
 }
 PROBE_TIMED = """
 t0 = time.perf_counter()

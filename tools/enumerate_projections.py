@@ -2,12 +2,19 @@
 """Curation tool: enumerate all prime kink-free knot projections with up to
 eight double points and write the bundled table.
 
-Every projection has a Gauss word in first-occurrence normal form, so
-enumerating those words (with cheap pruning), testing realizability over
-sign vectors, and deduplicating by canonical key is exhaustive by
-construction.  Counts per crossing number are printed; the number of prime
-alternating knots (1, 1, 2, 3, 7, 18 for n = 3..8) is a lower bound since
-every such knot has at least one reduced prime projection.
+The projections are grown from the simple closed curve, one crossing per
+layer: layer n holds the distinct classes reached from layer n - 1 by an
+``RI+`` on every dart and side and by every ``S+``.  That is exhaustive.
+The disoriented smoothing at any crossing of a knot projection keeps one
+curve, so it leaves a knot projection with one crossing fewer, and the
+``RI+`` (at a kink) or ``S+`` (elsewhere) placed at that crossing undoes
+it; by induction every projection with n crossings lies in layer n.  Layer
+n's table classes are its prime kink-free classes.  Per n the tool prints
+the number of classes (1, 2, 6, 19, 76, 376, 2194, 14614 for n = 1..8, the
+counts of spherical curves), the number of table classes, and the seconds
+taken.  The number of prime alternating knots (1, 1, 2, 3, 7, 18 for
+n = 3..8) is a lower bound on the latter, since every such knot has at
+least one reduced prime projection.
 
 When the output file already exists, every class it holds keeps its record
 line (name and code), in its order; classes new to it follow, named by key
@@ -25,83 +32,39 @@ from __future__ import annotations
 import re
 import sys
 import time
-from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from splicecap.curvemap import (  # noqa: E402
+    O_MAP,
     CurveMap,
-    SignedGaussCode,
     build_map,
     equivalent,
     extract_code,
     parse_record,
     render_code,
 )
-from splicecap.errors import NotRealizable  # noqa: E402
 from splicecap.families import (  # noqa: E402
     _pretzel_columns,
-    closing_stretch,
     gen_pretzel,
     gen_rational,
     gen_torus,
+    is_prime,
 )
+from splicecap.search import _band_insertions  # noqa: E402
+from splicecap.splices import ri_plus  # noqa: E402
 
 
-def normal_form_words(n: int):
-    """Double-occurrence words on n labels, first occurrences in order,
-    without cyclically adjacent equal letters."""
-    total = 2 * n
-    word = [0] * total
-    counts = [0] * (n + 1)
-
-    def rec(pos: int, next_label: int):
-        if pos == total:
-            if word[-1] != word[0]:
-                yield tuple(word)
-            return
-        prev = word[pos - 1] if pos else 0
-        if next_label <= n:
-            lab = next_label
-            if lab != prev:
-                word[pos] = lab
-                counts[lab] += 1
-                yield from rec(pos + 1, next_label + 1)
-                counts[lab] -= 1
-        for lab in range(1, next_label):
-            if counts[lab] == 1 and lab != prev:
-                word[pos] = lab
-                counts[lab] += 1
-                yield from rec(pos + 1, next_label)
-                counts[lab] -= 1
-
-    yield from rec(0, 1)
-
-
-def parity_ok(word: tuple[int, ...]) -> bool:
-    """Between the two visits of a crossing, an even number of once-seen
-    letters (necessary for any spherical realization)."""
-    first: dict[int, int] = {}
-    for i, lab in enumerate(word):
-        if lab not in first:
-            first[lab] = i
-        else:
-            if (i - first[lab]) % 2 == 0:
-                return False
-    return True
-
-
-def spherical_realizations(word: tuple[int, ...]):
-    """All spherical maps for the word over sign vectors (first sign +)."""
-    n = max(word)
-    for rest in product((1, -1), repeat=n - 1):
-        signs = (1,) + rest
-        comps = (tuple((str(lab), signs[lab - 1]) for lab in word),)
-        try:
-            yield build_map(SignedGaussCode(comps))
-        except NotRealizable:
-            continue
+def insertions(m: CurveMap):
+    """Every projection one ``RI+`` or ``S+`` above the knot projection ``m``."""
+    if m.n == 0:
+        yield ri_plus(m, None, "L")
+    for d in range(4 * m.n):
+        for side in "LR":
+            yield ri_plus(m, (m.names[d >> 2], d & 3), side)
+    for _, q in _band_insertions(m):
+        yield q
 
 
 # Rolfsen-style names for classes pinned by twist-column continued fractions
@@ -133,22 +96,28 @@ def main(out_path: str, n_max: int = 8) -> None:
     old = existing_records(Path(out_path))
     by_key: dict[bytes, CurveMap] = {}
     counts: dict[int, int] = {}
-    for n in range(3, n_max + 1):
+    layer = [O_MAP]
+    for n in range(1, n_max + 1):
         t0 = time.time()
-        found: dict[bytes, CurveMap] = {}
-        scanned = kept = 0
-        for word in normal_form_words(n):
-            scanned += 1
-            if not parity_ok(word) or closing_stretch(word) is not None:
-                continue
-            for m in spherical_realizations(word):
-                kept += 1
-                found.setdefault(m.canonical_key, m)
-        counts[n] = len(found)
+        seen: set[bytes] = set()
+        grown = []
+        for m in layer:
+            for q in insertions(m):
+                if q.canonical_key not in seen:
+                    seen.add(q.canonical_key)
+                    # the last layer grows nothing; keep only its candidates
+                    if n < n_max or not q.monogon_crossings:
+                        grown.append(q)
+        layer = grown
+        found = {
+            q.canonical_key: q for q in layer if not q.monogon_crossings and is_prime(q)
+        }
+        if n >= 3:  # no kink-free projection has fewer crossings
+            counts[n] = len(found)
         by_key.update(found)
         print(
-            f"n={n}: {scanned} words scanned, {kept} spherical builds, "
-            f"{len(found)} distinct prime projections ({time.time()-t0:.1f}s)"
+            f"n={n}: {len(seen)} classes, {len(found)} prime kink-free "
+            f"({time.time()-t0:.1f}s)"
         )
 
     alias_of: dict[bytes, str] = {}
