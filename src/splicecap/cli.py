@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .curvemap import CurveMap, extract_code, render_code
 from .errors import ParseError, SpliceCapError
 from .families import (
+    Pretzel,
+    Rational,
+    Torus,
     classify_projection,
     connected_sum,
-    gen_pretzel,
-    gen_rational,
-    gen_torus,
+    gen_family,
 )
 from .pipeline import (
     emit_report,
@@ -91,22 +93,19 @@ def cmd_classify(args) -> None:
         print(f"{entry.name}: {classify_projection(entry.map)}")
 
 
+# family name -> (spec class, usage text); the spec takes one integer per field
+_FAMILIES = {
+    "torus": (Torus, "gen torus <l>"),
+    "rational": (Rational, "gen rational <m> <n>"),
+    "pretzel": (Pretzel, "gen pretzel <p> <q> <r>"),
+}
+
+
 def cmd_gen(args) -> None:
-    kind = args.family
-    if kind == "torus":
-        _require(args.params, 1, "gen torus <l>")
-        m = gen_torus(int(args.params[0]))
-        _emit_record(f"torus_{args.params[0]}", m)
-    elif kind == "rational":
-        _require(args.params, 2, "gen rational <m> <n>")
-        m = gen_rational(int(args.params[0]), int(args.params[1]))
-        _emit_record(f"rational_{args.params[0]}_{args.params[1]}", m)
-    elif kind == "pretzel":
-        _require(args.params, 3, "gen pretzel <p> <q> <r>")
-        m = gen_pretzel(*(int(x) for x in args.params))
-        _emit_record("pretzel_" + "_".join(args.params), m)
-    else:
-        raise SpliceCapError(f"unknown family {kind!r}")
+    spec, usage = _FAMILIES[args.family]
+    _require(args.params, len(fields(spec)), usage)
+    m = gen_family(spec(*(int(x) for x in args.params)))
+    _emit_record("_".join([args.family, *args.params]), m)
 
 
 def _require(params, count, usage) -> None:
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gen", help="emit a family projection record")
-    p.add_argument("family", choices=["torus", "rational", "pretzel"])
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("params", nargs="*")
     p.set_defaults(func=cmd_gen)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from .curvemap import CurveMap, SignedGaussCode, build_map, parse_record
 from .errors import ParseError, SpliceCapError
 from .families import classify_projection, decompose_prime
-from .search import SearchBudget, u_minus, u_upper
+from .search import _DEFAULT_MAX_NODES, SearchBudget, u_minus, u_upper
 from .splices import seifert_genus
 from .surfaces import crosscap_alt
 
@@ -140,20 +140,28 @@ def ingest_external(path) -> list[ExternalCrosscapRow]:
 def verify_observation(
     entries: list[TableEntry],
     external: list[ExternalCrosscapRow] | None = None,
-    search_nodes: int = 20000,
+    search_nodes: int = _DEFAULT_MAX_NODES,
 ) -> tuple[list[ReportRow], dict]:
     """Check ``u_minus = crosscap = u_upper_value`` on every prime entry.
 
     Returns the report rows and a summary with mismatch counts.  The value
     comparison for the two-way count accepts any search status (the number
-    never exceeds the descent count, and equality pins it).
+    never exceeds the descent count, and equality pins it).  Non-prime
+    entries are skipped; a prime entry beyond the observation's scope
+    raises before any row is computed.
     """
+    beyond = sum(1 for e in entries if e.prime and e.n > _MAX_N)
+    if beyond:
+        raise SpliceCapError(
+            f"{beyond} prime record(s) have more than {_MAX_N} double points; "
+            f"the observation covers at most {_MAX_N}"
+        )
     lookup = {row.name: row.crosscap for row in external or []}
     rows: list[ReportRow] = []
     mismatches = 0
     external_mismatches = 0
     for entry in entries:
-        if not entry.prime or entry.n > _MAX_N:
+        if not entry.prime:
             continue
         m = entry.map
         value, _ = u_minus(m)

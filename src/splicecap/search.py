@@ -198,26 +198,18 @@ def verify_witness(p: CurveMap, w: Witness) -> VerifyResult:
 
 
 def _descents(m: CurveMap):
-    """Lazily yield ``(label, cost, successor)`` for every one-crossing
-    descent in natural label order; ``cost`` is 0 for a kink removal and 1
-    for a band splice."""
+    """Lazily yield ``(label, kind, successor)`` for every one-crossing
+    descent in natural label order, ``kind`` as ``classify_splice`` gives it."""
     for name in sorted(m.names, key=label_sort_key):
-        cost = 0 if m.crossing_index(name) in m.monogon_crossings else 1
-        yield name, cost, smooth(m, name, SmoothingChoice.DISORIENTED)
+        kind = classify_splice(m, name, SmoothingChoice.DISORIENTED)
+        yield name, kind, smooth(m, name, SmoothingChoice.DISORIENTED)
 
 
 def enumerate_descents(m: CurveMap) -> list[tuple[str, SpliceKind, bytes]]:
     """All one-crossing descents with classification, in label order."""
     if components(m) != 1:
         raise MultiComponentError("descents are defined on knot projections")
-    return [
-        (
-            name,
-            SpliceKind.RI_MINUS if cost == 0 else SpliceKind.S_MINUS,
-            child.canonical_key,
-        )
-        for name, cost, child in _descents(m)
-    ]
+    return [(name, kind, child.canonical_key) for name, kind, child in _descents(m)]
 
 
 _UMINUS_MEMO: dict[bytes, int] = {O_KEY: 0}
@@ -258,13 +250,14 @@ def u_minus(m: CurveMap) -> tuple[int, Witness]:
     cur = m
     remaining = value
     while cur.n:
-        for name, cost, child in _descents(cur):
+        for name, kind, child in _descents(cur):
+            cost = kind is SpliceKind.S_MINUS
             if cost + _u_minus_value(child) == remaining:
                 break
         else:
             raise AssertionError("optimal descent step must exist")
         cur = child
-        steps.append(sys.intern(f"{'RI-' if cost == 0 else 'S-'} {name}"))
+        steps.append(sys.intern(f"{kind.value} {name}"))
         remaining -= cost
     assert cur.canonical_key == O_KEY
     return value, Witness(m.canonical_key, tuple(steps))
@@ -272,6 +265,11 @@ def u_minus(m: CurveMap) -> tuple[int, Witness]:
 
 # ---------------------------------------------------------------------------
 # Two-way search (upper bounds for u)
+
+
+# classes ``u_upper`` checks when the budget sets no ``max_nodes``; each layer
+# it keeps grows with this, so the default bounds the memory of a call
+_DEFAULT_MAX_NODES = 20000
 
 
 @dataclass(frozen=True)
@@ -346,17 +344,18 @@ def u_upper(m: CurveMap, budget: SearchBudget = SearchBudget()) -> UResult:
     the count by ``k + u_minus(q)``.  Since crosscap <= ``u_minus``, a class
     with ``k + crosscap_alt(q)`` no better than the best value so far (or
     above ``max_cost``) is skipped; skipped classes still grow the next
-    layer.  ``max_nodes`` caps the classes checked, ``max_crossings`` the
-    size of every class, and the layers end where ``k`` alone reaches the
-    bound.  The search never proves its value minimal: the value is
-    ``UPPER_BOUND_ONLY`` (``EXHAUSTED`` when above ``max_cost``).
+    layer.  ``max_nodes`` caps the classes checked (20,000 unless set),
+    ``max_crossings`` the size of every class, and the layers end where
+    ``k`` alone reaches the bound.  The search never proves its value
+    minimal: the value is ``UPPER_BOUND_ONLY`` (``EXHAUSTED`` when above
+    ``max_cost``).
     """
     if components(m) != 1:
         raise MultiComponentError("unknotting counts need a knot projection")
     value, witness = u_minus(m)
     max_crossings = m.n + 6 if budget.max_crossings is None else budget.max_crossings
     max_cost = value if budget.max_cost is None else budget.max_cost
-    max_nodes = 10**7 if budget.max_nodes is None else budget.max_nodes
+    max_nodes = _DEFAULT_MAX_NODES if budget.max_nodes is None else budget.max_nodes
     if max_crossings < m.n:
         raise InvalidMove("budget.max_crossings below the input crossing count")
     if value <= 3 and value <= max_cost:

@@ -116,10 +116,12 @@ def smooth(m: CurveMap, crossing: str, choice: SmoothingChoice) -> CurveMap:
 def reduce_ri(m: CurveMap) -> CurveMap:
     """Remove kinks until none remain, in one smoothing: removing a kink
     deletes its two adjacent visits from the cyclic traversal word, so the
-    crossings to remove are those a stack cancels from the word."""
+    crossings to remove are those a stack cancels from the word.  On one
+    curve a monogon is exactly a crossing whose visits are cyclically
+    adjacent, so a map whose word cancels nothing is returned as it is."""
     if components(m) != 1:
         raise MultiComponentError("kink reduction needs a knot projection")
-    if not m.monogon_crossings:
+    if m.n == 0:
         return m
     word: list[int] = []
     for d in m.curve_components[0]:
@@ -133,6 +135,8 @@ def reduce_ri(m: CurveMap) -> CurveMap:
         i += 1
         j -= 1
     kept = set(word[i : j + 1])
+    if len(kept) == m.n:
+        return m
     return _smooth_pairings(
         m, {c: 1 - oriented_pairing(m, c) for c in range(m.n) if c not in kept}
     )
@@ -261,6 +265,16 @@ def _fresh_name(m: CurveMap) -> str:
     return str(k)
 
 
+def _add_crossing(m: CurveMap, joins, free_circles: int) -> CurveMap:
+    """Append one crossing, darts ``4n..4n+3``, named ``_fresh_name(m)``,
+    and make each pair of ``joins`` an edge, in order."""
+    opp = list(m.opp) + [0, 0, 0, 0]
+    for a, b in joins:
+        opp[a] = b
+        opp[b] = a
+    return CurveMap(opp, m.names + (_fresh_name(m),), free_circles)
+
+
 def ri_plus(m: CurveMap, dart: tuple[str, int] | None, side: str) -> CurveMap:
     """Insert a kink on the edge of ``dart``, on the given side of travel.
 
@@ -269,36 +283,20 @@ def ri_plus(m: CurveMap, dart: tuple[str, int] | None, side: str) -> CurveMap:
     """
     if side not in ("L", "R"):
         raise InvalidMove(f"side must be 'L' or 'R', got {side!r}")
+    x = 4 * m.n
     if dart is None:
         if m.free_circles < 1:
             raise InvalidMove("no free circle to put a kink on")
         # both mirror kinks on a bare circle give the same map
-        opp = list(m.opp) + [4 * m.n + k for k in (3, 2, 1, 0)]
-        return CurveMap(opp, m.names + (_fresh_name(m),), m.free_circles - 1)
+        return _add_crossing(m, ((x, x + 3), (x + 1, x + 2)), m.free_circles - 1)
     d = m.dart(*dart)
     o = m.opp[d]
-    x = 4 * m.n
-    opp = list(m.opp) + [0, 0, 0, 0]
+    # the loop edge joins slots 1 and 2 (R) or 2 and 3 (L) of the new crossing
     if side == "R":
-        # loop edge joins slots 1 and 2ccw of the new crossing
-        opp[d] = x + 0
-        opp[x + 0] = d
-        opp[x + 2] = x + 1
-        opp[x + 1] = x + 2
-        opp[x + 3] = o
-        opp[o] = x + 3
+        joins = ((d, x), (x + 1, x + 2), (x + 3, o))
     else:
-        opp[d] = x + 0
-        opp[x + 0] = d
-        opp[x + 2] = x + 3
-        opp[x + 3] = x + 2
-        opp[x + 1] = o
-        opp[o] = x + 1
-    return CurveMap(opp, m.names + (_fresh_name(m),), m.free_circles)
-
-
-def _same_face(m: CurveMap, d1: int, d2: int) -> bool:
-    return any(d1 in orbit and d2 in orbit for orbit in m.face_orbits)
+        joins = ((d, x), (x + 2, x + 3), (x + 1, o))
+    return _add_crossing(m, joins, m.free_circles)
 
 
 def _band_darts(
@@ -313,7 +311,7 @@ def _band_darts(
     d2 = m.dart(*dart2)
     if d1 == d2:
         raise InvalidMove("need two distinct darts")
-    if not _same_face(m, d1, d2):
+    if not any(d1 in orbit and d2 in orbit for orbit in m.face_orbits):
         raise InvalidMove("darts do not lie on a common face")
     return d1, d2
 
@@ -324,17 +322,8 @@ def _insert_band(m: CurveMap, d1: int, d2: int) -> CurveMap:
     disoriented smoothing of the new crossing the exact inverse."""
     o1, o2 = m.opp[d1], m.opp[d2]
     x = 4 * m.n
-    opp = list(m.opp) + [0, 0, 0, 0]
-
-    def join(a: int, b: int) -> None:
-        opp[a] = b
-        opp[b] = a
-
-    join(d1, x + 1)
-    join(o1, x + 0)
-    join(o2, x + 2)
-    join(d2, x + 3)
-    out = CurveMap(opp, m.names + (_fresh_name(m),), m.free_circles)
+    joins = ((d1, x + 1), (o1, x + 0), (o2, x + 2), (d2, x + 3))
+    out = _add_crossing(m, joins, m.free_circles)
     assert components(out) == components(m), "band insertion changed components"
     return out
 
@@ -390,19 +379,9 @@ def twist_move(
     cur = m
     band_src = dart2
     for _ in range(i - 1):
-        cur, band_src = _coil_into_face(cur, dart1, band_src)
+        # an R kink's outer loop dart (slot 1) joins the face of the arc's
+        # dart, which holds dart1; an L kink's would join the face across
+        # the edge, which differs, as a 4-valent map has no isthmus
+        cur = ri_plus(cur, band_src, "R")
+        band_src = (cur.names[-1], 1)
     return s_plus(cur, dart1, band_src)
-
-
-def _coil_into_face(
-    m: CurveMap, target: tuple[str, int], arc: tuple[str, int]
-) -> tuple[CurveMap, tuple[str, int]]:
-    """Put one kink on the edge of ``arc`` with its loop bulging into the
-    face shared with ``target``; returns the new map and the loop arc's dart
-    on that face."""
-    for side, outer_slot in (("L", 2), ("R", 1)):
-        cand = ri_plus(m, arc, side)
-        new_name = cand.names[-1]
-        if _same_face(cand, cand.dart(new_name, outer_slot), cand.dart(*target)):
-            return cand, (new_name, outer_slot)
-    raise AssertionError("kink loop landed in neither face of the arc")

@@ -1,6 +1,7 @@
 import pytest
 
 from splicecap import (
+    InvalidMove,
     SmoothingChoice,
     bundled_external_path,
     bundled_table_path,
@@ -11,9 +12,11 @@ from splicecap import (
     ingest_external,
     ingest_table,
     parse_code,
+    ri_plus,
+    s_plus,
     smooth,
 )
-from splicecap.splices import _smooth_pairings, oriented_pairing
+from splicecap.splices import _band_darts, _smooth_pairings, oriented_pairing
 
 # n = 9; the crosscap branching leaves a disconnected remainder on this one
 SPLITTING_CODE = "1+ 2+ 3+ 4+ 7+ 1+ 8- 6+ 5+ 9+ 6+ 5+ 9+ 8- 2+ 7+ 4+ 3+"
@@ -94,3 +97,30 @@ def round_wise_reduce_ri(m):
             m, {c: 1 - oriented_pairing(m, c) for c in m.monogon_crossings}
         )
     return m
+
+
+def trial_twist_move(m, dart1, dart2, i, variant="A"):
+    """``twist_move`` with a trial coil: each kink is tried on the left and
+    then on the right of the coiled arc, and kept when its outer loop dart
+    shares a face with the other arc.  An oracle for the one-sided coil."""
+    if i < 1:
+        raise InvalidMove("twist region needs at least one crossing")
+    if variant not in ("A", "B"):
+        raise InvalidMove(f"variant must be 'A' or 'B', got {variant!r}")
+    if variant == "B":
+        dart1, dart2 = dart2, dart1
+    d1, d2 = _band_darts(m, dart1, dart2)
+    if (i % 2 == 1) != (m.out_darts[d1] == m.out_darts[d2]):
+        raise InvalidMove("twist region parity does not fit these arcs")
+    cur, band_src = m, dart2
+    for _ in range(i - 1):
+        for side, outer_slot in (("L", 2), ("R", 1)):
+            cand = ri_plus(cur, band_src, side)
+            loop = cand.dart(cand.names[-1], outer_slot)
+            target = cand.dart(*dart1)
+            if any(loop in f and target in f for f in cand.face_orbits):
+                cur, band_src = cand, (cand.names[-1], outer_slot)
+                break
+        else:
+            raise AssertionError("kink loop landed in neither face of the arc")
+    return s_plus(cur, dart1, band_src)

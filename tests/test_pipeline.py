@@ -17,7 +17,7 @@ from splicecap import (
 )
 from splicecap.cli import main
 from splicecap.curvemap import extract_code, render_code
-from splicecap.families import gen_torus
+from splicecap.families import gen_pretzel, gen_rational, gen_torus
 from splicecap.pipeline import render_report
 
 
@@ -55,6 +55,8 @@ def test_enumeration_tool_keeps_record_lines(tmp_path):
         ]
 
     assert records(out) == records(bundled_table_path())
+    header = out.read_text().splitlines()[0]
+    assert header == "# Prime knot projections with up to seven double points,"
 
 
 def test_table_contains_family_members(table_maps):
@@ -220,6 +222,29 @@ def test_cli_gen_and_sum(record_file, tmp_path):
     assert res.returncode != 0 and "invalid choice: 'sum'" in res.stderr
 
 
+def test_cli_gen_builds_family_members(capsys):
+    """``gen`` names each record after its family and parameters and prints
+    the family generator's code; a wrong parameter count prints the usage."""
+    cases = [
+        (["torus", "3"], "torus_3", gen_torus(3)),
+        (["rational", "1", "2"], "rational_1_2", gen_rational(1, 2)),
+        (["pretzel", "1", "1", "2"], "pretzel_1_1_2", gen_pretzel(1, 1, 2)),
+    ]
+    for params, name, m in cases:
+        assert main(["gen", *params]) == 0
+        assert capsys.readouterr().out == f"{name}: {render_code(extract_code(m))}\n"
+    usages = {
+        "torus": "gen torus <l>",
+        "rational": "gen rational <m> <n>",
+        "pretzel": "gen pretzel <p> <q> <r>",
+    }
+    for family, usage in usages.items():
+        assert main(["gen", family, "1", "1", "1", "1"]) == 1
+        assert capsys.readouterr().err == f"error: usage: {usage}\n"
+    assert main(["gen", "torus", "1"]) == 1
+    assert "torus family needs l >= 2" in capsys.readouterr().err
+
+
 def test_cli_verify_witness(record_file, tmp_path):
     script = tmp_path / "script.txt"
     script.write_text("BASE 3_1\nS- 1\nRI- 2\nRI- 3\n")
@@ -359,6 +384,22 @@ def test_cli_verify_table_default_budget(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("45 rows, 0 mismatches,")
     assert len(out.read_text().splitlines()) == 46
+
+
+def test_cli_verify_table_rejects_records_beyond_scope(tmp_path, capsys):
+    """Records with more double points than the observation covers are an
+    input error, raised before any row is computed, not rows skipped in
+    silence."""
+    nine = bundled_table_path().parent / "projections_9.gauss"
+    out = tmp_path / "report.csv"
+    code = main(["verify-table", "--projections", str(nine), "--report", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: 101 prime record(s) have more than 8 double points; "
+        "the observation covers at most 8\n",
+    )
+    assert not out.exists()
 
 
 def test_cli_input_error(tmp_path):

@@ -132,6 +132,11 @@ def test_reduce_ri_matches_round_wise_oracle(table_maps):
         got, want = reduce_ri(m), round_wise_reduce_ri(m)
         for attr in ("opp", "names", "free_circles", "canonical_key"):
             assert getattr(got, attr) == getattr(want, attr), (attr, m)
+    # a word that cancels nothing leaves the map itself
+    kink_free = [m for m in table_maps.values() if not m.monogon_crossings]
+    assert len(kink_free) == 44
+    assert all(reduce_ri(m) is m for m in kink_free)
+    assert reduce_ri(O_MAP) is O_MAP
 
 
 def test_reduction_order_independence(table):

@@ -7,6 +7,7 @@ from splicecap import (
     InvalidMove,
     MultiComponentError,
     SmoothingChoice,
+    SpliceCapError,
     SpliceKind,
     apply_state,
     classify_splice,
@@ -282,6 +283,33 @@ def test_twist_move_parity_rule(trefoil):
         twist_move(trefoil, locs[0], locs[1], 3, "A")
     grown = twist_move(trefoil, locs[0], locs[1], 2, "A")
     assert grown.n == 5 and components(grown) == 1
+
+
+def test_twist_move_matches_trial_coil(table):
+    """Coiling on the right always lands the loop on the other arc's face:
+    the same maps and the same errors as trying both sides, over every
+    ordered dart pair of the small table entries."""
+    from conftest import trial_twist_move
+
+    def outcome(move, *args):
+        try:
+            q = move(*args)
+        except SpliceCapError as exc:
+            return type(exc)
+        return q.opp, q.names, q.free_circles
+
+    built = 0
+    for m in small_projections(table, 6):
+        locs = [(m.names[d >> 2], d & 3) for d in range(4 * m.n)]
+        for a in locs:
+            for b in locs:
+                for i in (1, 2, 3, 4):
+                    for variant in "AB":
+                        args = (m, a, b, i, variant)
+                        got = outcome(twist_move, *args)
+                        assert got == outcome(trial_twist_move, *args), args
+                        built += not isinstance(got, type)
+    assert built > 1000
 
 
 def test_twist_move_undo_costs_one_band(table, trefoil):

@@ -14,9 +14,11 @@ It also times scale probes that the 50 s workloads cannot reach, once per
 side, each in a fresh interpreter (so the descent memo starts cold) under
 a 120 s timeout: cold ``u_minus`` on ``Pretzel(5,5,5)``, on
 ``7_4 # 7_4 # 7_4`` and on ``gen_torus(300)``, ``crosscap_alt`` on
-``gen_torus(600)``, and acceptance criterion 8's ``u_upper`` call on
-``7_4 # 7_4`` (``sum_74.gauss``).  A probe records its value and seconds,
-``"timeout"``, or ``{"error": <last stderr line>}`` when it raises.
+``gen_torus(600)``, acceptance criterion 8's ``u_upper`` call on
+``7_4 # 7_4`` (``sum_74.gauss``), ``u_upper`` on it with the default budget,
+and ``verify_observation`` with its default budget on the bundled table and
+external snapshot.  A probe records its value and seconds, ``"timeout"``,
+or ``{"error": <last stderr line>}`` when it raises.
 
 The parent checkout is any directory holding the parent commit's files (a
 ``git worktree`` or a clone).  Run from anywhere, stdlib only:
@@ -24,7 +26,7 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, and the probes
-at most 20 more.
+at most 28 more.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ PROBES = {
         "m = sc.ingest_table(sc.bundled_witness_path().parent / 'sum_74.gauss')[0].map",
         "sc.u_upper(m, sc.SearchBudget(max_crossings=18, max_cost=5, max_nodes=1500))"
         ".value",
+    ),
+    "u_upper 7_4#7_4 default budget": (
+        "m = sc.ingest_table(sc.bundled_witness_path().parent / 'sum_74.gauss')[0].map",
+        "sc.u_upper(m).value",
+    ),
+    "verify_observation default budget": (
+        "entries = sc.ingest_table(sc.bundled_table_path())\n"
+        "external = sc.ingest_external(sc.bundled_external_path())",
+        "sc.verify_observation(entries, external)[1]",
     ),
 }
 PROBE_TIMED = """

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Curation tool: enumerate all prime kink-free knot projections with up to
-eight double points and write the bundled table.
+``n_max`` double points (eight by default) and write the bundled table.
 
 The projections are grown from the simple closed curve, one crossing per
 layer: layer n holds the distinct classes reached from layer n - 1 by an
@@ -22,7 +22,8 @@ order after the highest ``<n>x<i>`` index already in use.  Re-running the
 tool therefore leaves the bundled names, which witnesses and reports refer
 to, unchanged.
 
-Not a shipped feature; run from the repository root:
+Not a shipped feature; run from the repository root, with ``n_max`` as an
+optional second argument:
 
     python3 tools/enumerate_projections.py src/splicecap/data/projections_le8.gauss
 """
@@ -82,6 +83,11 @@ ALIASES = [
 ]
 
 
+def _number_word(n: int) -> str:
+    words = "zero one two three four five six seven eight nine".split()
+    return words[n] if n < len(words) else str(n)
+
+
 def existing_records(path: Path) -> dict[bytes, str]:
     """Record lines of an existing table by class key, in file order."""
     records: dict[bytes, str] = {}
@@ -139,7 +145,7 @@ def main(out_path: str, n_max: int = 8) -> None:
         alias_of[rest[0].canonical_key] = "6_3"
 
     lines = [
-        "# Prime knot projections with up to eight double points,",
+        f"# Prime knot projections with up to {_number_word(n_max)} double points,",
         "# one record per equivalence class (sphere homeomorphism + mirror).",
         "# Generated by tools/enumerate_projections.py; counts per n: "
         + ", ".join(f"{n}: {counts[n]}" for n in sorted(counts)),
