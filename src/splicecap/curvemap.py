@@ -174,9 +174,12 @@ class CurveMap:
     """Immutable spherical 4-valent map with a free-circle counter.
 
     ``opp`` is the edge involution on darts, ``names[c]`` the external label of
-    crossing ``c``.  Construction checks the spherical invariant
-    ``V - E + F = 2`` on every connected sub-map and raises
-    :class:`NotRealizable` otherwise.
+    crossing ``c``.  The public constructor checks that ``opp`` is a
+    fixed-point-free involution, that the names are unique, and the spherical
+    invariant ``V - E + F = 2`` on every connected sub-map, and raises
+    :class:`NotRealizable` otherwise.  The moves build their results through
+    :meth:`_of`, which checks nothing: a smoothing or an insertion on a
+    spherical map keeps all three (README "Design notes").
     """
 
     def __init__(self, opp, names=None, free_circles: int = 0):
@@ -200,6 +203,17 @@ class CurveMap:
         self.names = names
         self.free_circles = free_circles
         self._check_spherical()
+
+    @classmethod
+    def _of(cls, opp: tuple[int, ...], names: tuple[str, ...], free_circles: int):
+        """A map from fields a move has already made valid; computes nothing,
+        so faces and components stay lazy."""
+        m = cls.__new__(cls)
+        m.opp = opp
+        m.n = len(opp) // 4
+        m.names = names
+        m.free_circles = free_circles
+        return m
 
     # -- construction helpers ------------------------------------------------
 
@@ -518,7 +532,9 @@ def interleaved(m: CurveMap, c1: str, c2: str) -> bool:
 
 
 def _canonical_key(m: CurveMap) -> bytes:
-    comps = m.graph_components
+    # one curve visits every crossing, so its map is connected
+    one_curve = len(m.curve_components) == 1
+    comps = (tuple(range(m.n)),) if one_curve else m.graph_components
     if len(comps) == 1:
         curves = [m.curve_components]
     else:

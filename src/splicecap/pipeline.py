@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -182,7 +183,8 @@ def verify_observation(
                 u_upper_status=upper.status.value,
                 crosscap_alt=cc,
                 genus=seifert_genus(m),
-                class_label=str(classify_projection(m)),
+                # few labels repeat over many rows, so rows share one string
+                class_label=sys.intern(str(classify_projection(m))),
                 external_crosscap=ext,
                 all_equal=equal,
             )

@@ -40,6 +40,7 @@ from .splices import (
     classify_splice,
     oriented_pairing,
     reduce_ri,
+    reduced_descent,
     ri_plus,
     s_plus,
     smooth,
@@ -227,10 +228,7 @@ def _u_minus_value(m: CurveMap) -> int:
         if children is not None:
             memo[m.canonical_key] = 1 + min(memo[c.canonical_key] for c in children)
         elif m.canonical_key not in memo:
-            children = [
-                reduce_ri(smooth(m, name, SmoothingChoice.DISORIENTED))
-                for name in m.names
-            ]
+            children = [reduced_descent(m, c) for c in range(m.n)]
             stack.append((m, children))
             stack.extend((c, None) for c in children if c.canonical_key not in memo)
     return memo[root.canonical_key]

@@ -23,6 +23,7 @@ __all__ = [
     "State",
     "smooth",
     "reduce_ri",
+    "reduced_descent",
     "classify_splice",
     "make_state",
     "apply_state",
@@ -99,7 +100,7 @@ def _smooth_pairings(m: CurveMap, chosen: dict[int, int]) -> CurveMap:
             free += 1
     keep = [c for c in range(m.n) if c not in chosen]
     names = tuple(m.names[c] for c in keep)
-    return CurveMap(dense_opp(opp, keep), names, free)
+    return CurveMap._of(tuple(dense_opp(opp, keep)), names, free)
 
 
 def smooth(m: CurveMap, crossing: str, choice: SmoothingChoice) -> CurveMap:
@@ -113,33 +114,62 @@ def smooth(m: CurveMap, crossing: str, choice: SmoothingChoice) -> CurveMap:
     return _smooth_pairings(m, {c: pairing_for(m, c, choice)})
 
 
+def _kinks(word: list[int]) -> list[int]:
+    """The crossings that kink removal, round after round, deletes from a
+    curve with the cyclic traversal ``word``: a kink's two visits are
+    adjacent and removing it deletes both, so they are the letters a stack
+    cancels from the word."""
+    stack: list[int] = []
+    gone: list[int] = []
+    for c in word:
+        if stack and stack[-1] == c:
+            gone.append(stack.pop())
+        else:
+            stack.append(c)
+    # the word is cyclic: equal letters left at its two ends meet too
+    i, j = 0, len(stack) - 1
+    while i < j and stack[i] == stack[j]:
+        gone.append(stack[i])
+        i += 1
+        j -= 1
+    return gone
+
+
 def reduce_ri(m: CurveMap) -> CurveMap:
-    """Remove kinks until none remain, in one smoothing: removing a kink
-    deletes its two adjacent visits from the cyclic traversal word, so the
-    crossings to remove are those a stack cancels from the word.  On one
-    curve a monogon is exactly a crossing whose visits are cyclically
-    adjacent, so a map whose word cancels nothing is returned as it is."""
+    """Remove kinks until none remain, in one smoothing.  On one curve a
+    monogon is exactly a crossing whose visits are cyclically adjacent, so
+    a map whose word cancels nothing is returned as it is."""
     if components(m) != 1:
         raise MultiComponentError("kink reduction needs a knot projection")
     if m.n == 0:
         return m
-    word: list[int] = []
-    for d in m.curve_components[0]:
-        if word and word[-1] == d >> 2:
-            word.pop()
-        else:
-            word.append(d >> 2)
-    # the word is cyclic: equal letters left at its two ends meet too
-    i, j = 0, len(word) - 1
-    while i < j and word[i] == word[j]:
-        i += 1
-        j -= 1
-    kept = set(word[i : j + 1])
-    if len(kept) == m.n:
+    gone = _kinks([d >> 2 for d in m.curve_components[0]])
+    if not gone:
         return m
-    return _smooth_pairings(
-        m, {c: 1 - oriented_pairing(m, c) for c in range(m.n) if c not in kept}
-    )
+    return _smooth_pairings(m, {c: 1 - oriented_pairing(m, c) for c in gone})
+
+
+def reduced_descent(m: CurveMap, c: int) -> CurveMap:
+    """``reduce_ri(smooth(m, m.names[c], DISORIENTED))`` on a knot
+    projection ``m``, in one smoothing.
+
+    The splice turns the traversal word ``c A c B`` into ``A B'``, with
+    ``B'`` the reverse of ``B``, and the kinks of the child are the letters
+    :func:`_kinks` cancels from it.  A crossing with both visits in ``A``,
+    or both in ``B``, has both strands kept or both reversed, so the child's
+    disoriented pairing is the one in ``m``; a crossing with one visit in
+    each has one strand reversed, which swaps its two pairings.
+    """
+    word = [d >> 2 for d in m.curve_components[0]]
+    i = word.index(c)
+    j = word.index(c, i + 1)
+    a, b = word[i + 1 : j], word[j + 1 :] + word[:i]
+    split = set(a).intersection(b)
+    chosen = {c: 1 - oriented_pairing(m, c)}
+    for y in _kinks(a + b[::-1]):
+        p = oriented_pairing(m, y)
+        chosen[y] = p if y in split else 1 - p
+    return _smooth_pairings(m, chosen)
 
 
 def classify_splice(m: CurveMap, crossing: str, choice: SmoothingChoice) -> SpliceKind:
@@ -272,7 +302,7 @@ def _add_crossing(m: CurveMap, joins, free_circles: int) -> CurveMap:
     for a, b in joins:
         opp[a] = b
         opp[b] = a
-    return CurveMap(opp, m.names + (_fresh_name(m),), free_circles)
+    return CurveMap._of(tuple(opp), m.names + (_fresh_name(m),), free_circles)
 
 
 def ri_plus(m: CurveMap, dart: tuple[str, int] | None, side: str) -> CurveMap:

@@ -352,9 +352,13 @@ def test_cli_verify_table(tmp_path):
         for line in bundled_table_path().read_text().splitlines()
         if line.strip() and not line.startswith("#")
     ]
-    small.write_text(
-        "\n".join(l for l in lines if len(l.split(":")[1].split()) <= 12) + "\n"
-    )
+    small_lines = [l for l in lines if len(l.split(":")[1].split()) <= 12]
+    # one composite record, which the check skips
+    composite = bundled_table_path().parent / "sum_74.gauss"
+    small_lines += [
+        l for l in composite.read_text().splitlines() if not l.startswith("#")
+    ]
+    small.write_text("\n".join(small_lines) + "\n")
     res = run_cli(
         "verify-table",
         "--projections",
@@ -366,6 +370,7 @@ def test_cli_verify_table(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert "0 mismatches" in res.stdout
+    assert res.stdout.endswith(", 1 non-prime record(s) skipped\n")
     assert out.exists()
 
 
@@ -398,6 +403,20 @@ def test_cli_verify_table_rejects_records_beyond_scope(tmp_path, capsys):
         "",
         "error: 101 prime record(s) have more than 8 double points; "
         "the observation covers at most 8\n",
+    )
+    assert not out.exists()
+
+
+def test_cli_verify_table_without_prime_records(tmp_path, capsys):
+    """A record file with no prime record leaves nothing to verify: an input
+    error that says how many records were skipped, not an empty pass."""
+    composite = bundled_table_path().parent / "sum_74.gauss"
+    out = tmp_path / "report.csv"
+    code = main(["verify-table", "--projections", str(composite), "--report", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: no prime record to verify (1 non-prime record(s) skipped)\n",
     )
     assert not out.exists()
 

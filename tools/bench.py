@@ -16,9 +16,12 @@ a 120 s timeout: cold ``u_minus`` on ``Pretzel(5,5,5)``, on
 ``7_4 # 7_4 # 7_4`` and on ``gen_torus(300)``, ``crosscap_alt`` on
 ``gen_torus(600)``, acceptance criterion 8's ``u_upper`` call on
 ``7_4 # 7_4`` (``sum_74.gauss``), ``u_upper`` on it with the default budget,
-and ``verify_observation`` with its default budget on the bundled table and
-external snapshot.  A probe records its value and seconds, ``"timeout"``,
-or ``{"error": <last stderr line>}`` when it raises.
+``u_upper`` with the default budget on the first 20 records of
+``projections_9.gauss`` whose ``u_minus`` is 4 (the set-up finds them and
+then empties the descent memo), and ``verify_observation`` with its default
+budget on the bundled table and external snapshot.  A probe records its
+value and seconds, ``"timeout"``, or ``{"error": <last stderr line>}`` when
+it raises.
 
 The parent checkout is any directory holding the parent commit's files (a
 ``git worktree`` or a clone).  Run from anywhere, stdlib only:
@@ -26,7 +29,7 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, and the probes
-at most 28 more.
+at most 32 more.
 """
 
 from __future__ import annotations
@@ -65,6 +68,14 @@ PROBES = {
     "u_upper 7_4#7_4 default budget": (
         "m = sc.ingest_table(sc.bundled_witness_path().parent / 'sum_74.gauss')[0].map",
         "sc.u_upper(m).value",
+    ),
+    "u_upper first 20 u_minus=4 of projections_9, default budget": (
+        "from splicecap import search\n"
+        "nine = sc.ingest_table(sc.bundled_table_path().parent / 'projections_9.gauss')\n"
+        "ms = [e.map for e in nine if sc.u_minus(e.map)[0] == 4][:20]\n"
+        "search._UMINUS_MEMO.clear()\n"
+        "search._UMINUS_MEMO[sc.O_KEY] = 0",
+        "[sc.u_upper(m).value for m in ms]",
     ),
     "verify_observation default budget": (
         "entries = sc.ingest_table(sc.bundled_table_path())\n"
