@@ -23,7 +23,6 @@ __all__ = [
     "State",
     "smooth",
     "reduce_ri",
-    "reduced_descent",
     "classify_splice",
     "make_state",
     "apply_state",
