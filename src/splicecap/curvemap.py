@@ -589,13 +589,13 @@ def _curve_canon(orbit: tuple[int, ...]) -> list[int]:
     rev = [((total - (t >> 1)) << 1) | (t & 1) for t in reversed(fwd)]
     # every variant holds the same distances, and one of each pair a 0 bit
     lo = min(fwd) & ~1
-    rotations = []
+    best = [total << 1]  # above every token, so any rotation beats it
     for v in (fwd, [t ^ 1 for t in fwd], rev, [t ^ 1 for t in rev]):
         i = -1
         for _ in range(v.count(lo)):
             i = v.index(lo, i + 1)
-            rotations.append(v[i:] + v[:i])
-    return min(rotations)
+            best = min(best, v[i:] + v[:i])
+    return best
 
 
 def _rooted_canon(opp: list[int], n: int) -> tuple[int, ...]:

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SpliceCapError",
+    "ParseError",
+    "NotRealizable",
+    "InvalidMove",
+    "DegenerateOnO",
+    "MultiComponentError",
+]
+
 
 class SpliceCapError(Exception):
     """Base class for all errors raised by this package."""

@@ -93,15 +93,31 @@ class Witness:
         return sum(_step_counts(s)[1] for s in self.steps)
 
 
+# witness op -> number of arguments after the op name
+_STEP_ARITY = {"S-": 1, "RI-": 1, "Seifert": 1, "RI+": 2, "S+": 2, "TWIST": 4}
+
+
+def _parse_step(line: str) -> tuple[str, list[str]]:
+    """Split a witness step into its op and arguments, checking the arity."""
+    parts = line.split()
+    if not parts:
+        raise ParseError("empty witness step")
+    op, *args = parts
+    if op not in _STEP_ARITY:
+        raise ParseError(f"unknown witness op {op!r}")
+    if len(args) != _STEP_ARITY[op]:
+        raise ParseError(f"malformed step {line!r}")
+    return op, args
+
+
 def _step_counts(line: str) -> tuple[int, int]:
-    op = line.split()[0]
+    op, args = _parse_step(line)
     if op in ("S-", "S+"):
         return 1, 0
     if op in ("RI-", "RI+"):
         return 0, 1
     if op == "TWIST":
-        i = int(line.split()[3])
-        return 1, i - 1
+        return 1, int(args[2]) - 1
     return 0, 0
 
 
@@ -118,45 +134,29 @@ def _parse_locator(tok: str) -> tuple[str, int] | None:
 
 def apply_step(m: CurveMap, line: str) -> CurveMap:
     """Apply one witness step; raises on an illegal step."""
-    parts = line.split()
-    if not parts:
-        raise ParseError("empty witness step")
-    op = parts[0]
+    op, args = _parse_step(line)
     if op in ("S-", "RI-"):
-        if len(parts) != 2:
-            raise ParseError(f"malformed step {line!r}")
-        kind = classify_splice(m, parts[1], SmoothingChoice.DISORIENTED)
+        kind = classify_splice(m, args[0], SmoothingChoice.DISORIENTED)
         want = SpliceKind.S_MINUS if op == "S-" else SpliceKind.RI_MINUS
         if kind is not want:
             raise InvalidMove(
-                f"step claims {op} at {parts[1]} but the splice is {kind.value}"
+                f"step claims {op} at {args[0]} but the splice is {kind.value}"
             )
-        return smooth(m, parts[1], SmoothingChoice.DISORIENTED)
+        return smooth(m, args[0], SmoothingChoice.DISORIENTED)
     if op == "Seifert":
-        if len(parts) != 2:
-            raise ParseError(f"malformed step {line!r}")
-        return smooth(m, parts[1], SmoothingChoice.ORIENTED)
+        return smooth(m, args[0], SmoothingChoice.ORIENTED)
     if op == "RI+":
-        if len(parts) != 3:
-            raise ParseError(f"malformed step {line!r}")
-        return ri_plus(m, _parse_locator(parts[1]), parts[2])
+        return ri_plus(m, _parse_locator(args[0]), args[1])
+    d1, d2 = _parse_locator(args[0]), _parse_locator(args[1])
     if op == "S+":
-        if len(parts) != 3:
-            raise ParseError(f"malformed step {line!r}")
-        d1, d2 = _parse_locator(parts[1]), _parse_locator(parts[2])
         if d1 is None or d2 is None:
             raise InvalidMove("band insertion needs two crossing darts")
         return s_plus(m, d1, d2)
-    if op == "TWIST":
-        if len(parts) != 5:
-            raise ParseError(f"malformed step {line!r}")
-        d1, d2 = _parse_locator(parts[1]), _parse_locator(parts[2])
-        if d1 is None or d2 is None:
-            raise InvalidMove("twist region needs two crossing darts")
-        if not parts[3].isdecimal() or int(parts[3]) < 1:
-            raise ParseError(f"bad twist crossing count in {line!r}")
-        return twist_move(m, d1, d2, int(parts[3]), parts[4])
-    raise ParseError(f"unknown witness op {op!r}")
+    if d1 is None or d2 is None:
+        raise InvalidMove("twist region needs two crossing darts")
+    if not args[2].isdecimal() or int(args[2]) < 1:
+        raise ParseError(f"bad twist crossing count in {line!r}")
+    return twist_move(m, d1, d2, int(args[2]), args[3])
 
 
 def replay(m: CurveMap, steps) -> CurveMap:
@@ -179,19 +179,16 @@ def verify_witness(p: CurveMap, w: Witness) -> VerifyResult:
     """Replay a witness; valid iff every step is legal and the end is the
     simple closed curve."""
     cur = p
-    s_total = ri_total = 0
     for i, line in enumerate(w.steps):
         try:
             cur = apply_step(cur, line)
         except SpliceCapError as exc:
+            done = Witness(w.base_key, w.steps[:i])
             return VerifyResult(
-                False, s_total, ri_total, cur.canonical_key, i, str(exc)
+                False, done.s_count, done.ri_count, cur.canonical_key, i, str(exc)
             )
-        ds, dri = _step_counts(line)
-        s_total += ds
-        ri_total += dri
     key = cur.canonical_key
-    return VerifyResult(key == O_KEY, s_total, ri_total, key)
+    return VerifyResult(key == O_KEY, w.s_count, w.ri_count, key)
 
 
 # ---------------------------------------------------------------------------

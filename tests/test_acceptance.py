@@ -305,7 +305,8 @@ def test_criterion_9_property_suites(table):
 def test_nine_crossing_projections():
     """Criteria 3-5 and witness replay outside the table, on the 101 prime
     kink-free projections with nine double points; and, as evidence for
-    crosscap <= two-way count, no one-band child drops the crosscap by two."""
+    crosscap <= two-way count, no one-band child drops the crosscap by two
+    and every one-band child's ``chi_max`` is the parent's or one less."""
     t0 = time.time()
     entries = ingest_table(NINE_PATH)
     assert len({e.map.canonical_key for e in entries}) == len(entries) == 101
@@ -321,9 +322,11 @@ def test_nine_crossing_projections():
         assert crosscap_alt(e.map) == value, e.name
         assert classify_projection(e.map).index == min(value, 3), e.name
         values[value] += 1
+        chi = ak_min_genus(e.map).chi_max
         children = {q.canonical_key: q for _, q in _band_insertions(e.map)}
         for q in children.values():
             drops[value - crosscap_alt(q)] += 1
+            assert chi - 1 <= ak_min_genus(q).chi_max <= chi, e.name
     assert values == {1: 1, 2: 3, 3: 38, 4: 59}
     assert drops == {1: 4, 0: 511, -1: 843}
     elapsed = time.time() - t0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from splicecap import (
@@ -8,6 +10,7 @@ from splicecap import (
     equivalent,
     extract_code,
     faces,
+    gen_torus,
     interleaved,
     mirror_map,
     parse_code,
@@ -16,7 +19,7 @@ from splicecap import (
     O_KEY,
     O_MAP,
 )
-from splicecap.curvemap import SignedGaussCode
+from splicecap.curvemap import SignedGaussCode, _canonical_key
 
 
 def test_parse_trefoil(trefoil):
@@ -135,6 +138,23 @@ def test_distinct_keys(trefoil, table_maps):
     assert trefoil.canonical_key != table_maps["5_2"].canonical_key
     assert trefoil.canonical_key != O_KEY
     assert O_MAP.canonical_key == O_KEY
+
+
+def test_one_curve_key_memory():
+    """The one-curve key keeps one candidate rotation at a time.  On a torus
+    projection half the visits of each of the four walks start a least
+    rotation, so holding every candidate at once would take about 6 MB
+    here: 1,196 lists of 598 tokens."""
+    m = gen_torus(150)
+    m.curve_components  # the lazy curve walk is not part of the key
+    tracemalloc.start()
+    try:
+        key = _canonical_key(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert key == m.canonical_key
+    assert peak < 1 << 20
 
 
 def test_interleaved(trefoil, double_kink):

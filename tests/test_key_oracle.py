@@ -3,7 +3,9 @@ replaced, kept here as the reference.
 
 The reference tries every start, direction and reflection of a one-curve
 component's Gauss-word walk; the fast key reads rotation-invariant tokens
-once.  Both must split any set of maps into the same classes.
+once.  A component with more curves gets a rooted encoding of its own here,
+numbered in another order than the package's.  Both keys must split any set
+of maps into the same classes.
 """
 
 import random
@@ -20,7 +22,7 @@ from splicecap import (
     s_plus,
     smooth,
 )
-from splicecap.curvemap import SignedGaussCode, _rooted_canon
+from splicecap.curvemap import SignedGaussCode
 
 
 def rot2(d: int) -> int:
@@ -58,8 +60,33 @@ def _reference_component_key(m, crossings) -> str:
     if circuits == 2:
         seq = _curve_canon(opp, nn)
     else:
-        seq = _rooted_canon(opp, nn)
+        seq = _rooted_encoding(opp, nn)
     return f"c{nn}:" + ",".join(map(str, seq))
+
+
+def _rooted_encoding(opp: list[int], n: int) -> tuple[int, ...]:
+    """Least rooted encoding of a connected map over all roots and both
+    orientations.  A breadth-first walk from the root numbers the darts,
+    taking each dart's edge partner before its rotation successor; the
+    encoding lists both images of every dart in the new numbering."""
+    best = None
+    for root in range(4 * n):
+        for turn in (1, 3):  # counterclockwise, then clockwise
+
+            def step(d):
+                return (d & ~3) | ((d + turn) & 3)
+
+            new = {root: 0}
+            order = [root]
+            for d in order:  # grows while it is walked
+                for nb in (opp[d], step(d)):
+                    if nb not in new:
+                        new[nb] = len(order)
+                        order.append(nb)
+            enc = tuple(x for d in order for x in (new[opp[d]], new[step(d)]))
+            if best is None or enc < best:
+                best = enc
+    return best
 
 
 def _curve_canon(opp: list[int], n: int) -> tuple[int, ...]:

@@ -1,5 +1,4 @@
 import inspect
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,14 +29,16 @@ def test_bundled_table_loads(table):
     assert all(e.prime for e in table)
 
 
-def test_enumeration_tool_keeps_record_lines(tmp_path):
+def test_enumeration_tool_keeps_record_lines(tmp_path, table):
     """Regenerating into an existing table keeps each class's record line:
-    re-running the curation tool renames nothing.  Its growth by ``RI+`` and
+    re-running the curation tool renames nothing, and it skips an indented
+    comment line as ``ingest_table`` does.  Its growth by ``RI+`` and
     ``S+`` reaches every spherical curve: the class counts per crossing
     number are the published ones (OEIS A008989)."""
     tool = Path(__file__).resolve().parent.parent / "tools" / "enumerate_projections.py"
     out = tmp_path / "table.gauss"
-    shutil.copy(bundled_table_path(), out)
+    out.write_text(bundled_table_path().read_text() + "  # an indented note\n")
+    assert len(ingest_table(out)) == len(table)
     res = subprocess.run(
         [sys.executable, str(tool), str(out), "7"], capture_output=True, text=True
     )

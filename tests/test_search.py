@@ -1,9 +1,11 @@
+import re
 from random import Random
 
 import pytest
 
 from splicecap import (
     MultiComponentError,
+    ParseError,
     SearchBudget,
     SearchStatus,
     SignedGaussCode,
@@ -192,6 +194,31 @@ def test_verify_witness_rejects_bad_twist_count(trefoil):
         result = verify_witness(trefoil, Witness(trefoil.canonical_key, (step,)))
         assert not result.valid and result.failed_at == 0, count
         assert "twist crossing count" in result.error
+
+
+@pytest.mark.parametrize(
+    "step, error",
+    [
+        ("", "empty witness step"),
+        ("FOO 1", "unknown witness op 'FOO'"),
+        ("S-", "malformed step 'S-'"),
+        ("RI- 1 2", "malformed step 'RI- 1 2'"),
+        ("Seifert", "malformed step 'Seifert'"),
+        ("RI+ 1.0", "malformed step 'RI+ 1.0'"),
+        ("S+ 1.0 2.1 3", "malformed step 'S+ 1.0 2.1 3'"),
+        ("TWIST 1.0 2.1 1", "malformed step 'TWIST 1.0 2.1 1'"),
+    ],
+)
+def test_witness_step_grammar(trefoil, step, error):
+    """Replay and the step counts read a step through the same grammar;
+    replay counts only the steps it applied."""
+    w = Witness(trefoil.canonical_key, ("RI+ 1.0 L", step))
+    result = verify_witness(trefoil, w)
+    assert not result.valid and result.failed_at == 1
+    assert result.error == error
+    assert (result.s_count, result.ri_count) == (0, 1)
+    with pytest.raises(ParseError, match=re.escape(error)):
+        w.s_count
 
 
 def test_verify_witness_propagates_internal_errors(trefoil, monkeypatch):

@@ -263,11 +263,15 @@ def test_anchor_early_exit_matches_full_loop(one_band_children):
 
 def test_one_band_lowers_crosscap_by_at_most_one(one_band_children):
     """Evidence, not proof, for crosscap <= two-way count: over the table's
-    one-band children no band insertion lowers the crosscap by two."""
+    one-band children no band insertion lowers the crosscap by two, and
+    ``chi_max`` of every child is the parent's or one less (the sandwich of
+    the unchecked proof sketch in README "Design notes")."""
     drops = {}
     for entry, children in one_band_children:
         cc = crosscap_alt(entry.map)
+        chi = ak_min_genus(entry.map).chi_max
         for q in children:
             drop = cc - crosscap_alt(q)
             drops[drop] = drops.get(drop, 0) + 1
+            assert chi - 1 <= ak_min_genus(q).chi_max <= chi, entry.name
     assert drops == {1: 3, 0: 161, -1: 210}

@@ -92,8 +92,9 @@ def existing_records(path: Path) -> dict[bytes, str]:
     """Record lines of an existing table by class key, in file order."""
     records: dict[bytes, str] = {}
     if path.exists():
-        for line in path.read_text().splitlines():
-            if line.strip() and not line.startswith("#"):
+        for raw in path.read_text().splitlines():
+            line = raw.strip()  # as ingest_table reads it
+            if line and not line.startswith("#"):
                 records[build_map(parse_record(line)[1]).canonical_key] = line
     return records
 
