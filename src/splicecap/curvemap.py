@@ -594,7 +594,9 @@ def _curve_canon(orbit: tuple[int, ...]) -> list[int]:
         i = -1
         for _ in range(v.count(lo)):
             i = v.index(lo, i + 1)
-            best = min(best, v[i:] + v[:i])
+            rotation = v[i:] + v[:i]
+            if rotation < best:
+                best = rotation
     return best
 
 
