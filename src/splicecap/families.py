@@ -4,8 +4,8 @@ classifier of projections by their splice unknotting count.
 The three generated families are closures of vertical twist columns:
 
 * torus ``T(l)``: one column of ``2l - 1`` crossings, braid-closed;
-* rational ``R(m, n)``: a torus column of ``2n - 1`` crossings with a
-  ``2m``-crossing clasp attached across one of its bigons;
+* rational ``R(m, n)``: a ``2m``-crossing clasp against a twist row of
+  ``2n - 1`` crossings, i.e. the pretzel closure ``P(2m, 1, ..., 1)``;
 * pretzel ``P(p, q, r)``: three columns of ``2p``, ``2q - 1``, ``2r - 1``
   crossings, pretzel-closed.
 
@@ -168,15 +168,10 @@ def gen_torus(l: int) -> CurveMap:
 
 def gen_rational(m: int, n: int) -> CurveMap:
     """The (2m, 2n-1)-rational knot projection: a clasp of 2m crossings
-    against a twist row of 2n-1 crossings (the double-twist shape)."""
-    spec = Rational(m, n)
-    a = [str(i + 1) for i in range(2 * m)]
-    b = [str(2 * m + i + 1) for i in range(2 * n - 1)]
-    word = a + b + a + b[::-1]
-    code = SignedGaussCode((tuple((lab, 1) for lab in word),))
-    out = build_map(code)
-    assert out.n == spec.crossings and components(out) == 1
-    return out
+    against a twist row of 2n-1 crossings, drawn as the pretzel closure
+    P(2m, 1, ..., 1) with 2n-1 one-crossing columns."""
+    Rational(m, n)  # validates the parameters
+    return _pretzel_columns((2 * m,) + (1,) * (2 * n - 1))
 
 
 def gen_pretzel(p: int, q: int, r: int) -> CurveMap:
@@ -229,13 +224,6 @@ def gen_family(spec: FamilySpec) -> CurveMap:
 # Connected sums and prime factorization
 
 
-def _word_and_edges(m: CurveMap) -> tuple[list[tuple[str, int]], list[int]]:
-    code = extract_code(m)
-    word = list(code.components[0])
-    # edge traversed after visit i is the exit dart at position i of the walk
-    return word, list(m.curve_components[0])
-
-
 def _rotate_after_lowest(word: list[tuple[str, int]]) -> list[tuple[str, int]]:
     lowest = min((lab for lab, _ in word), key=label_sort_key)
     k = next(i for i, (lab, _) in enumerate(word) if lab == lowest)
@@ -284,12 +272,13 @@ def _relabel(m: CurveMap) -> CurveMap:
 
 def _cut_word(m: CurveMap, dart: tuple[str, int] | None) -> list[tuple[str, int]]:
     """The factor's word cut open at the chosen basepoint arc."""
-    word, exits = _word_and_edges(m)
+    word = list(extract_code(m).components[0])
     if dart is None:
         return _rotate_after_lowest(word)
     d = m.dart(*dart)
     edge = {d, m.opp[d]}
-    for i, e in enumerate(exits):
+    # the edge traversed after visit i is the exit dart at position i of the walk
+    for i, e in enumerate(m.curve_components[0]):
         if e in edge:
             return word[i + 1 :] + word[: i + 1]
     raise InvalidMove("basepoint dart not found on the traversal")
@@ -427,11 +416,9 @@ def classify_projection(m: CurveMap) -> ClassLabel:
     """
     if components(m) != 1:
         raise MultiComponentError("classification needs a knot projection")
-    factors = []
-    for f in decompose_prime(reduce_ri(m)):
-        f = reduce_ri(f)
-        if f.n != 0:
-            factors.append(f)
+    # a kink closes a stretch of its own, so it comes back as a one-crossing
+    # factor and every larger factor is kink-free
+    factors = [f for f in decompose_prime(reduce_ri(m)) if f.n > 1]
     if not factors:
         return ClassLabel(ClassKind.U0)
     if len(factors) == 1:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .curvemap import CurveMap, SignedGaussCode, build_map, parse_record
 from .errors import ParseError, SpliceCapError
 from .families import classify_projection, decompose_prime
-from .search import _DEFAULT_MAX_NODES, SearchBudget, u_minus, u_upper
+from .search import SearchBudget, u_minus, u_upper
 from .splices import seifert_genus
 from .surfaces import crosscap_alt
 
@@ -141,16 +141,21 @@ def ingest_external(path) -> list[ExternalCrosscapRow]:
 def verify_observation(
     entries: list[TableEntry],
     external: list[ExternalCrosscapRow] | None = None,
-    search_nodes: int = _DEFAULT_MAX_NODES,
+    search_nodes: int | None = None,
 ) -> tuple[list[ReportRow], dict]:
     """Check ``u_minus = crosscap = u_upper_value`` on every prime entry.
 
     Returns the report rows and a summary with mismatch counts.  The value
     comparison for the two-way count accepts any search status (the number
-    never exceeds the descent count, and equality pins it).  Non-prime
-    entries are skipped; a prime entry beyond the observation's scope
+    never exceeds the descent count, and equality pins it).  ``search_nodes``
+    unset takes ``u_upper``'s default.  Non-prime entries are skipped; no
+    prime entry at all, or a prime entry beyond the observation's scope,
     raises before any row is computed.
     """
+    if not any(e.prime for e in entries):
+        raise SpliceCapError(
+            f"no prime record to verify ({len(entries)} non-prime record(s) skipped)"
+        )
     beyond = sum(1 for e in entries if e.prime and e.n > _MAX_N)
     if beyond:
         raise SpliceCapError(
@@ -159,8 +164,6 @@ def verify_observation(
         )
     lookup = {row.name: row.crosscap for row in external or []}
     rows: list[ReportRow] = []
-    mismatches = 0
-    external_mismatches = 0
     for entry in entries:
         if not entry.prime:
             continue
@@ -169,11 +172,6 @@ def verify_observation(
         upper = u_upper(m, SearchBudget(max_nodes=search_nodes))
         cc = crosscap_alt(m)
         ext = lookup.get(entry.name)
-        equal = value == cc and upper.value == value
-        if not equal:
-            mismatches += 1
-        if ext is not None and ext != cc:
-            external_mismatches += 1
         rows.append(
             ReportRow(
                 name=entry.name,
@@ -186,15 +184,18 @@ def verify_observation(
                 # few labels repeat over many rows, so rows share one string
                 class_label=sys.intern(str(classify_projection(m))),
                 external_crosscap=ext,
-                all_equal=equal,
+                all_equal=value == cc and upper.value == value,
             )
         )
     rows.sort(key=lambda r: (r.n, r.name))
+    joined = [r for r in rows if r.external_crosscap is not None]
     summary = {
         "rows": len(rows),
-        "mismatches": mismatches,
-        "external_rows_joined": sum(1 for r in rows if r.external_crosscap is not None),
-        "external_mismatches": external_mismatches,
+        "mismatches": sum(1 for r in rows if not r.all_equal),
+        "external_rows_joined": len(joined),
+        "external_mismatches": sum(
+            1 for r in joined if r.external_crosscap != r.crosscap_alt
+        ),
     }
     return rows, summary
 

@@ -98,7 +98,7 @@ _STEP_ARITY = {"S-": 1, "RI-": 1, "Seifert": 1, "RI+": 2, "S+": 2, "TWIST": 4}
 
 
 def _parse_step(line: str) -> tuple[str, list[str]]:
-    """Split a witness step into its op and arguments, checking the arity."""
+    """Split a witness step into its op and arguments, checking the grammar."""
     parts = line.split()
     if not parts:
         raise ParseError("empty witness step")
@@ -107,6 +107,8 @@ def _parse_step(line: str) -> tuple[str, list[str]]:
         raise ParseError(f"unknown witness op {op!r}")
     if len(args) != _STEP_ARITY[op]:
         raise ParseError(f"malformed step {line!r}")
+    if op == "TWIST" and (not args[2].isdecimal() or int(args[2]) < 1):
+        raise ParseError(f"bad twist crossing count in {line!r}")
     return op, args
 
 
@@ -154,8 +156,6 @@ def apply_step(m: CurveMap, line: str) -> CurveMap:
         return s_plus(m, d1, d2)
     if d1 is None or d2 is None:
         raise InvalidMove("twist region needs two crossing darts")
-    if not args[2].isdecimal() or int(args[2]) < 1:
-        raise ParseError(f"bad twist crossing count in {line!r}")
     return twist_move(m, d1, d2, int(args[2]), args[3])
 
 

@@ -1,9 +1,11 @@
 import gc
+from random import Random
 
 import pytest
 
 from splicecap import (
     ClassKind,
+    ClassLabel,
     InvalidMove,
     MultiComponentError,
     Pretzel,
@@ -25,7 +27,15 @@ from splicecap import (
     smooth,
     u_minus,
     O_MAP,
+    SignedGaussCode,
     SmoothingChoice,
+    bundled_table_path,
+    build_map,
+    extract_code,
+    ingest_table,
+    reduce_ri,
+    render_code,
+    s_plus,
 )
 from conftest import family_members
 
@@ -59,6 +69,27 @@ def test_parameter_bounds():
         Sum(())
     with pytest.raises(InvalidMove):
         Sum((Torus(2), Sum((Torus(2),))))
+
+
+def _gauss_word_rational(m, n):
+    """The rational member built from its Gauss word (clasp, row, clasp,
+    reversed row): an oracle for the column-built ``gen_rational``."""
+    a = [str(i + 1) for i in range(2 * m)]
+    b = [str(2 * m + i + 1) for i in range(2 * n - 1)]
+    word = a + b + a + b[::-1]
+    return build_map(SignedGaussCode((tuple((lab, 1) for lab in word),)))
+
+
+def test_gen_rational_matches_gauss_word_oracle():
+    """The pretzel closure P(2m, 1, ..., 1) is the double-twist projection:
+    same class, same record text and the same descent witness."""
+    for m in range(1, 9):
+        for n in range(2, 9):
+            got, want = gen_rational(m, n), _gauss_word_rational(m, n)
+            assert got.canonical_key == want.canonical_key, (m, n)
+            assert render_code(extract_code(got)) == render_code(extract_code(want))
+            if m <= 5 and n <= 6:
+                assert u_minus(got)[1].steps == u_minus(want)[1].steps, (m, n)
 
 
 def test_gen_torus_is_trefoil(trefoil):
@@ -219,3 +250,91 @@ def test_classify_agrees_with_u_minus(table):
     for entry in table:
         value, _ = u_minus(entry.map)
         assert classify_projection(entry.map).index == min(value, 3), entry.name
+
+
+def _classify_reducing_factors(m):
+    """The classifier that reduces every prime factor's kinks once more: an
+    oracle for ``classify_projection``, which trusts the factors with two or
+    more crossings to be kink-free."""
+    factors = []
+    for f in decompose_prime(reduce_ri(m)):
+        f = reduce_ri(f)
+        if f.n != 0:
+            factors.append(f)
+    if not factors:
+        return ClassLabel(ClassKind.U0)
+    if len(factors) == 1:
+        spec = match_family(factors[0])
+        if isinstance(spec, Torus):
+            return ClassLabel(ClassKind.U1, (spec,))
+        if isinstance(spec, (Rational, Pretzel)):
+            return ClassLabel(ClassKind.U2, (spec,))
+        return ClassLabel(ClassKind.U_AT_LEAST_3)
+    if len(factors) == 2:
+        s1, s2 = (match_family(f) for f in factors)
+        if isinstance(s1, Torus) and isinstance(s2, Torus):
+            return ClassLabel(ClassKind.U2, (s1, s2))
+    return ClassLabel(ClassKind.U_AT_LEAST_3)
+
+
+def _random_dart(m, rng):
+    return rng.choice(m.names), rng.randrange(4)
+
+
+def _band_grown(m, rng):
+    """``m`` with one random band insertion that keeps it a knot projection,
+    or ``None`` when it has no such insertion."""
+    out = m.out_darts
+    pairs = [
+        (d1, d2)
+        for orbit in m.face_orbits
+        for i, d1 in enumerate(orbit)
+        for d2 in orbit[i + 1 :]
+        if out[d1] == out[d2]
+    ]
+    if not pairs:
+        return None
+    d1, d2 = rng.choice(pairs)
+    return s_plus(m, (m.names[d1 >> 2], d1 & 3), (m.names[d2 >> 2], d2 & 3))
+
+
+def test_classify_matches_factor_reducing_oracle(table, table_maps):
+    """Labels agree with the oracle on the table, the nine-crossing records,
+    family members, kink-grown and band-grown maps, and seeded sums."""
+    rng = Random(14)
+    nine = ingest_table(bundled_table_path().parent / "projections_9.gauss")
+    base = [e.map for e in table + nine] + [m for _, m in family_members(9)]
+    maps = list(base)
+    for m in base:
+        grown = m
+        for _ in range(rng.randrange(1, 4)):
+            grown = ri_plus(grown, _random_dart(grown, rng), rng.choice("LR"))
+        maps.append(grown)
+        banded = _band_grown(m, rng)
+        if banded is not None:
+            maps.append(banded)
+    kinks = [O_MAP, ri_plus(O_MAP, None, "L")]
+    for _ in range(3):
+        kinks.append(ri_plus(kinks[-1], _random_dart(kinks[-1], rng), rng.choice("LR")))
+    maps += kinks
+    small = [m for m in base if m.n <= 6] + kinks
+    for _ in range(200):
+        parts = [rng.choice(small) for _ in range(rng.randrange(2, 4))]
+        s = parts[0]
+        for part in parts[1:]:
+            darts = [None if x.n == 0 else _random_dart(x, rng) for x in (s, part)]
+            s = connected_sum(s, darts[0], part, darts[1])
+        maps.append(s)
+    # a kink whose loop holds a whole summand bounds no monogon, so
+    # reduce_ri keeps it and it comes back as a one-crossing factor
+    for a, b in (("3_1", "3_1"), ("3_1", "4_1"), ("5_1", "3_1"), ("4_1", "5_2")):
+        s = connected_sum(kinks[1], None, table_maps[a], None)
+        for name in s.names:
+            for slot in range(4):
+                maps.append(connected_sum(s, (name, slot), table_maps[b], None))
+    kinds = set()
+    for m in maps:
+        label = classify_projection(m)
+        assert label == _classify_reducing_factors(m), extract_code(m)
+        kinds.add(label.kind)
+    assert kinds == set(ClassKind)

@@ -1,4 +1,5 @@
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from splicecap import (
+    ExternalCrosscapRow,
     ParseError,
+    SpliceCapError,
     bundled_external_path,
     bundled_table_path,
     emit_report,
@@ -110,6 +113,36 @@ def test_verify_observation_small(table, external_rows):
     for row in rows:
         assert row.all_equal
         assert row.u_minus == row.crosscap_alt == row.u_upper_value
+
+
+def test_verify_observation_counts_external_mismatch(table, external_rows):
+    """The summary's counts come from the rows: one wrong external value is
+    one external mismatch, and the internal check still holds."""
+    small = [e for e in table if e.n <= 6]
+    wrong = [
+        ExternalCrosscapRow(r.name, r.crosscap + (r.name == "5_2"))
+        for r in external_rows
+    ]
+    rows, summary = verify_observation(small, wrong, search_nodes=10)
+    names = {e.name for e in small}
+    assert summary == {
+        "rows": len(small),
+        "mismatches": 0,
+        "external_rows_joined": sum(1 for r in wrong if r.name in names),
+        "external_mismatches": 1,
+    }
+    (bad,) = [r for r in rows if r.external_crosscap not in (None, r.crosscap_alt)]
+    assert bad.name == "5_2" and bad.all_equal
+
+
+def test_verify_observation_without_prime_entries():
+    """No prime entry leaves nothing to verify: the library raises, naming
+    how many records it skipped."""
+    composite = ingest_table(bundled_table_path().parent / "sum_74.gauss")
+    for entries in (composite, composite + composite, []):
+        message = f"no prime record to verify ({len(entries)} non-prime record(s)"
+        with pytest.raises(SpliceCapError, match=re.escape(message)):
+            verify_observation(entries)
 
 
 def test_emit_report_deterministic(tmp_path, table, external_rows):

@@ -207,6 +207,8 @@ def test_verify_witness_rejects_bad_twist_count(trefoil):
         ("RI+ 1.0", "malformed step 'RI+ 1.0'"),
         ("S+ 1.0 2.1 3", "malformed step 'S+ 1.0 2.1 3'"),
         ("TWIST 1.0 2.1 1", "malformed step 'TWIST 1.0 2.1 1'"),
+        ("TWIST 1.0 2.1 0 A", "bad twist crossing count in 'TWIST 1.0 2.1 0 A'"),
+        ("TWIST 1.0 2.1 x A", "bad twist crossing count in 'TWIST 1.0 2.1 x A'"),
     ],
 )
 def test_witness_step_grammar(trefoil, step, error):

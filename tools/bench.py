@@ -7,8 +7,8 @@ parent checkout and once in this one, for the ``table`` and ``descent``
 workloads on seeds 3, 4 and 5.  Which side runs first alternates from one
 pair to the next, so a slow drift of the machine's speed falls on both
 sides.  The file holds every run's metrics, the per-side medians and the
-change/parent ratio of each median, both commit ids and the facts of the
-machine.  It records only: nothing is compared against a bound.
+change/parent ratio of each median, both commit ids, each side's line
+count of ``src/splicecap/*.py`` and the facts of the machine.  It records only: nothing is compared against a bound.
 
 It also times scale probes that the 50 s workloads cannot reach, once per
 side, each in a fresh interpreter (so the descent memo starts cold) under
@@ -97,9 +97,18 @@ def _git(root: Path, *args: str) -> str:
 
 
 def _revision(root: Path) -> dict:
-    """The checkout's commit, and whether its tracked files differ from it."""
+    """The checkout's commit, whether its tracked files differ from it, and
+    the line count of its package sources."""
     dirty = _git(root, "status", "--porcelain", "--untracked-files=no")
-    return {"commit": _git(root, "rev-parse", "HEAD"), "dirty": bool(dirty)}
+    lines = sum(
+        len(f.read_text().splitlines())
+        for f in (root / "src" / "splicecap").glob("*.py")
+    )
+    return {
+        "commit": _git(root, "rev-parse", "HEAD"),
+        "dirty": bool(dirty),
+        "src_lines": lines,
+    }
 
 
 def _machine() -> dict:
