@@ -325,7 +325,7 @@ def test_classify_matches_factor_reducing_oracle(table, table_maps):
             darts = [None if x.n == 0 else _random_dart(x, rng) for x in (s, part)]
             s = connected_sum(s, darts[0], part, darts[1])
         maps.append(s)
-    # a kink whose loop holds a whole summand bounds no monogon, so
+    # a crossing whose loop holds a whole summand bounds no monogon, so
     # reduce_ri keeps it and it comes back as a one-crossing factor
     for a, b in (("3_1", "3_1"), ("3_1", "4_1"), ("5_1", "3_1"), ("4_1", "5_2")):
         s = connected_sum(kinks[1], None, table_maps[a], None)
