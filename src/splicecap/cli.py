@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,7 +30,14 @@ from .pipeline import (
     ingest_table,
     verify_observation,
 )
-from .search import SearchBudget, Witness, u_minus, u_upper, verify_witness
+from .search import (
+    SearchBudget,
+    SearchStatus,
+    Witness,
+    u_minus,
+    u_upper,
+    verify_witness,
+)
 from .splices import reduce_ri
 from .surfaces import ak_min_genus
 
@@ -163,11 +171,13 @@ def cmd_verify_table(args) -> None:
     external = ingest_external(args.external) if args.external else None
     rows, summary = verify_observation(entries, external)
     emit_report(rows, args.report)
+    statuses = Counter(r.u_upper_status for r in rows)
     print(
         f"{summary['rows']} rows, {summary['mismatches']} mismatches, "
         f"{summary['external_rows_joined']} external rows joined, "
         f"{summary['external_mismatches']} external mismatches, "
-        f"{len(entries) - summary['rows']} non-prime record(s) skipped"
+        f"{len(entries) - summary['rows']} non-prime record(s) skipped; u_upper: "
+        + ", ".join(f"{statuses[s.value]} {s.value}" for s in SearchStatus)
     )
     if summary["mismatches"] or summary["external_mismatches"]:
         raise SpliceCapError("verification found mismatches")

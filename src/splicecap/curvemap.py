@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidMove, MultiComponentError, NotRealizable, ParseError
+from .errors import (
+    InvalidMove,
+    InvariantViolation,
+    MultiComponentError,
+    NotRealizable,
+    ParseError,
+)
 
 __all__ = [
     "SignedGaussCode",
@@ -545,8 +551,15 @@ def _canonical_key(m: CurveMap) -> bytes:
     comp_keys = sorted(
         _component_key(m, crossings, cs) for crossings, cs in zip(comps, curves)
     )
-    head = f"n{m.n}o{m.free_circles}"
-    return ";".join([head] + comp_keys).encode()
+    return _key(m.n, m.free_circles, comp_keys)
+
+
+def _key(n: int, free_circles: int, comp_keys) -> bytes:
+    return ";".join([f"n{n}o{free_circles}", *comp_keys]).encode()
+
+
+def _component_text(nn: int, seq) -> str:
+    return f"c{nn}:" + ",".join(map(str, seq))
 
 
 def _component_key(m: CurveMap, crossings: tuple[int, ...], curves) -> str:
@@ -555,25 +568,31 @@ def _component_key(m: CurveMap, crossings: tuple[int, ...], curves) -> str:
     encoding of the densely renumbered sub-map."""
     nn = len(crossings)
     if len(curves) == 1:
-        seq = _curve_canon(curves[0])
+        seq = _least_rotation(_curve_tokens(curves[0]))
     else:
         opp = m.opp if nn == m.n else dense_opp(m.opp, crossings)
         seq = _rooted_canon(opp, nn)
-    return f"c{nn}:" + ",".join(map(str, seq))
+    return _component_text(nn, seq)
 
 
-def _curve_canon(orbit: tuple[int, ...]) -> list[int]:
-    """Least token sequence of a one-curve map over all starts, both
-    directions and both reflections.
+def _token_key(tokens: list[int]) -> bytes:
+    """The canonical key of the one-curve map whose traversal tokens
+    (:func:`_curve_tokens`) are ``tokens``, read from any start, in either
+    direction or reflected; no tokens is the simple closed curve."""
+    n = len(tokens) >> 1
+    if not n:
+        return O_KEY
+    return _key(n, 0, [_component_text(n, _least_rotation(tokens))])
+
+
+def _curve_tokens(orbit: tuple[int, ...]) -> list[int]:
+    """The traversal tokens of one curve, visit by visit.
 
     Visit ``i`` (exit dart ``orbit[i]``) emits ``2d + sense``: ``d`` is the
     forward distance to the other visit of the same crossing, and ``sense``
-    is set iff that visit enters one slot counterclockwise of this one, so
+    is set iff that visit leaves one slot counterclockwise of this one, so
     the two visits of a crossing carry complementary bits.  The tokens do
-    not depend on where the walk starts.  The reverse walk reads them
-    backwards with distance ``2n - d`` and the same bits; reflection flips
-    every bit.  The least rotation over the four sequences starts with the
-    least token, so only those starts are compared.
+    not depend on where the walk starts.
     """
     total = len(orbit)
     fwd = [0] * total
@@ -586,11 +605,24 @@ def _curve_canon(orbit: tuple[int, ...]) -> list[int]:
             sense = ((d - orbit[j]) & 3) == 1
             fwd[j] = ((i - j) << 1) | sense
             fwd[i] = ((total - i + j) << 1) | (not sense)
-    rev = [((total - (t >> 1)) << 1) | (t & 1) for t in reversed(fwd)]
+    return fwd
+
+
+def _least_rotation(tokens: list[int]) -> list[int]:
+    """Least rotation of a curve's tokens over both directions and both
+    reflections.
+
+    The reverse walk reads the tokens backwards with distance ``2n - d``
+    and the same bits; reflection flips every bit.  The least rotation over
+    the four sequences starts with the least token, so only those starts
+    are compared.
+    """
+    total = len(tokens)
+    rev = [((total - (t >> 1)) << 1) | (t & 1) for t in reversed(tokens)]
     # every variant holds the same distances, and one of each pair a 0 bit
-    lo = min(fwd) & ~1
+    lo = min(tokens) & ~1
     best = [total << 1]  # above every token, so any rotation beats it
-    for v in (fwd, [t ^ 1 for t in fwd], rev, [t ^ 1 for t in rev]):
+    for v in (tokens, [t ^ 1 for t in tokens], rev, [t ^ 1 for t in rev]):
         i = -1
         for _ in range(v.count(lo)):
             i = v.index(lo, i + 1)
@@ -629,7 +661,8 @@ def _rooted_canon(opp: list[int], n: int) -> tuple[int, ...]:
             cand = tuple(enc)
             if best is None or cand < best:
                 best = cand
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("rooted encoding of a map without crossings")
     return best
 
 

@@ -7,6 +7,7 @@ __all__ = [
     "InvalidMove",
     "DegenerateOnO",
     "MultiComponentError",
+    "InvariantViolation",
 ]
 
 
@@ -32,3 +33,12 @@ class DegenerateOnO(InvalidMove):
 
 class MultiComponentError(InvalidMove):
     """An operation that requires a knot projection got a multi-component curve."""
+
+
+class InvariantViolation(AssertionError):
+    """An internal invariant failed: a bug in this package, not bad input.
+
+    It is raised explicitly, so it holds under ``python -O``, and it is no
+    :class:`SpliceCapError`, so no caller takes it for an input error or an
+    invalid witness.
+    """

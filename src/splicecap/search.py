@@ -10,7 +10,9 @@ no corner elsewhere), and every monogon at another crossing has no corner
 at ``c``, so it survives in ``P - c``; dropping the step at ``c`` leaves a
 descent of ``P - c`` whose kink removals are still kink removals.  So the
 count is computed on ``reduce_ri(P)``, by a memoized descent over kink-free
-canonical forms in which every step is a band splice.  ``u_upper``
+canonical forms in which every step is a band splice.  Each class is one
+closed curve, so the descent runs on traversal tokens, whose least
+rotation is the canonical key, and builds no map.  ``u_upper``
 bounds the two-way count, which also allows the inverse insertions, by
 ``k`` band insertions followed by an exact descent, and skips every class
 whose crosscap number already rules it out (crosscap <= ``u_minus``).  Its
@@ -28,19 +30,27 @@ from dataclasses import dataclass
 from .curvemap import (
     CurveMap,
     O_KEY,
+    _curve_tokens,
+    _token_key,
     components,
     label_sort_key,
 )
-from .errors import InvalidMove, MultiComponentError, ParseError, SpliceCapError
+from .errors import (
+    InvalidMove,
+    InvariantViolation,
+    MultiComponentError,
+    ParseError,
+    SpliceCapError,
+)
 from .splices import (
     SmoothingChoice,
     SpliceKind,
     State,
     _insert_band,
+    _kinks,
     classify_splice,
     oriented_pairing,
     reduce_ri,
-    reduced_descent,
     ri_plus,
     s_plus,
     smooth,
@@ -213,21 +223,66 @@ def enumerate_descents(m: CurveMap) -> list[tuple[str, SpliceKind, bytes]]:
 _UMINUS_MEMO: dict[bytes, int] = {O_KEY: 0}
 
 
+def _token_children(tokens: list[int]):
+    """Yield ``(p, child)`` for each crossing of the one-curve map
+    whose traversal tokens are ``tokens``: ``p`` is the crossing's first
+    visit, and ``child`` holds the tokens of ``reduce_ri`` of its
+    disoriented splice.
+
+    The splice at the visits ``p < q`` turns the word ``c A c B`` into
+    ``A B'``, with ``B'`` the reverse of ``B``, and the kinks it leaves are
+    the crossings :func:`_kinks` cancels from that word.  Distances are
+    read off the new positions.  A visit's bit says on which side the other
+    visit of its crossing leaves.  Reversing one strand moves its exit slot
+    by two, which flips the bits of a crossing with one visit in ``A`` and
+    one in ``B``; a crossing with both visits in ``A``, or both in ``B``,
+    keeps its bits.
+    """
+    total = len(tokens)
+    partner = [(i + (t >> 1)) % total for i, t in enumerate(tokens)]
+    # a crossing is named by its first visit
+    first = [min(i, j) for i, j in enumerate(partner)]
+    for p, q in enumerate(partner):
+        if q < p:
+            continue
+        order = [*range(p + 1, q), *range(p - 1, -1, -1), *range(total - 1, q, -1)]
+        gone = set(_kinks([first[i] for i in order]))
+        if gone:
+            order = [i for i in order if first[i] not in gone]
+        size = len(order)
+        at = [0] * total
+        for k, i in enumerate(order):
+            at[i] = k
+        child = []
+        for k, i in enumerate(order):
+            j = partner[i]
+            split = (p < i < q) != (p < j < q)
+            child.append((((at[j] - k) % size) << 1) | ((tokens[i] & 1) ^ split))
+        yield p, child
+
+
 def _u_minus_value(m: CurveMap) -> int:
     """``u_minus`` of ``m`` by a depth-first worklist over the kink-free
     classes below ``reduce_ri(m)`` (module docstring): every step of a
-    kink-free map is a band splice, so a class is one more than its least child."""
+    kink-free map is a band splice, so a class is one more than its least
+    child.  A class is held as the traversal tokens of one of its maps, and
+    its children come from those tokens (:func:`_token_children`)."""
     memo = _UMINUS_MEMO
     root = reduce_ri(m)
-    stack: list[tuple[CurveMap, list[CurveMap] | None]] = [(root, None)]
+    stack: list[tuple[bytes, list[int], list[bytes] | None]] = []
+    if root.canonical_key not in memo:
+        tokens = _curve_tokens(root.curve_components[0])
+        stack.append((root.canonical_key, tokens, None))
     while stack:
-        m, children = stack.pop()
+        key, tokens, children = stack.pop()
         if children is not None:
-            memo[m.canonical_key] = 1 + min(memo[c.canonical_key] for c in children)
-        elif m.canonical_key not in memo:
-            children = [reduced_descent(m, c) for c in range(m.n)]
-            stack.append((m, children))
-            stack.extend((c, None) for c in children if c.canonical_key not in memo)
+            memo[key] = 1 + min(memo[c] for c in children)
+        elif key not in memo:
+            kids = {}
+            for _, child in _token_children(tokens):
+                kids.setdefault(_token_key(child), child)
+            stack.append((key, tokens, list(kids)))
+            stack.extend((k, t, None) for k, t in kids.items() if k not in memo)
     return memo[root.canonical_key]
 
 
@@ -250,11 +305,12 @@ def u_minus(m: CurveMap) -> tuple[int, Witness]:
             if cost + _u_minus_value(child) == remaining:
                 break
         else:
-            raise AssertionError("optimal descent step must exist")
+            raise InvariantViolation("optimal descent step must exist")
         cur = child
         steps.append(sys.intern(f"{kind.value} {name}"))
         remaining -= cost
-    assert cur.canonical_key == O_KEY
+    if cur.canonical_key != O_KEY:
+        raise InvariantViolation("descent witness does not end at O")
     return value, Witness(m.canonical_key, tuple(steps))
 
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 
 from .curvemap import CurveMap, components, dense_opp
-from .errors import DegenerateOnO, InvalidMove, MultiComponentError
+from .errors import DegenerateOnO, InvalidMove, InvariantViolation, MultiComponentError
 
 __all__ = [
     "SmoothingChoice",
@@ -55,7 +55,8 @@ def oriented_pairing(m: CurveMap, c: int) -> int:
     out = m.out_darts
     if out[4 * c] != out[4 * c + 1]:
         return 0
-    assert out[4 * c + 1] != out[4 * c + 2], "degenerate in/out pattern"
+    if out[4 * c + 1] == out[4 * c + 2]:
+        raise InvariantViolation("degenerate in/out pattern")
     return 1
 
 
@@ -146,29 +147,6 @@ def reduce_ri(m: CurveMap) -> CurveMap:
     if not gone:
         return m
     return _smooth_pairings(m, {c: 1 - oriented_pairing(m, c) for c in gone})
-
-
-def reduced_descent(m: CurveMap, c: int) -> CurveMap:
-    """``reduce_ri(smooth(m, m.names[c], DISORIENTED))`` on a knot
-    projection ``m``, in one smoothing.
-
-    The splice turns the traversal word ``c A c B`` into ``A B'``, with
-    ``B'`` the reverse of ``B``, and the kinks of the child are the letters
-    :func:`_kinks` cancels from it.  A crossing with both visits in ``A``,
-    or both in ``B``, has both strands kept or both reversed, so the child's
-    disoriented pairing is the one in ``m``; a crossing with one visit in
-    each has one strand reversed, which swaps its two pairings.
-    """
-    word = [d >> 2 for d in m.curve_components[0]]
-    i = word.index(c)
-    j = word.index(c, i + 1)
-    a, b = word[i + 1 : j], word[j + 1 :] + word[:i]
-    split = set(a).intersection(b)
-    chosen = {c: 1 - oriented_pairing(m, c)}
-    for y in _kinks(a + b[::-1]):
-        p = oriented_pairing(m, y)
-        chosen[y] = p if y in split else 1 - p
-    return _smooth_pairings(m, chosen)
 
 
 def classify_splice(m: CurveMap, crossing: str, choice: SmoothingChoice) -> SpliceKind:
@@ -278,7 +256,8 @@ def seifert_genus(m: CurveMap) -> int:
     pairings = tuple(oriented_pairing(m, c) for c in range(m.n))
     circles = count_state_circles(m, pairings) + m.free_circles
     g2 = 1 + m.n - circles
-    assert g2 % 2 == 0, "parity violation in Seifert circle count"
+    if g2 % 2:
+        raise InvariantViolation("parity violation in Seifert circle count")
     return g2 // 2
 
 
@@ -353,7 +332,8 @@ def _insert_band(m: CurveMap, d1: int, d2: int) -> CurveMap:
     x = 4 * m.n
     joins = ((d1, x + 1), (o1, x + 0), (o2, x + 2), (d2, x + 3))
     out = _add_crossing(m, joins, m.free_circles)
-    assert components(out) == components(m), "band insertion changed components"
+    if components(out) != components(m):
+        raise InvariantViolation("band insertion changed components")
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curvemap import CurveMap, components
-from .errors import MultiComponentError
+from .errors import InvariantViolation, MultiComponentError
 from .splices import _smooth_pairings, oriented_pairing, reduce_ri, seifert_genus
 
 __all__ = [
@@ -81,13 +81,15 @@ def _explore(m: CurveMap) -> tuple[int, int]:
             best = max(best, m.free_circles)
             continue
         orbit = min(m.face_orbits, key=len)
-        assert len(orbit) <= 3, "a spherical projection has a <=3-gon"
+        if len(orbit) > 3:
+            raise InvariantViolation("a spherical projection has a <=3-gon")
         size = len(stack)
         for opposite in ((0, 1) if len(orbit) == 3 else (0,)):
             chosen = _forced_pairings(orbit, opposite)
             if chosen is not None:
                 stack.append(_smooth_pairings(m, chosen))
-        assert len(stack) > size, "every branch of a triangle was inconsistent"
+        if len(stack) == size:
+            raise InvariantViolation("every branch of a triangle was inconsistent")
     return best, leaves
 
 
@@ -114,14 +116,14 @@ def ak_min_genus(m: CurveMap) -> AKResult:
         anchored = _smooth_pairings(m, {c: 1 - oriented_pairing(m, c)})
         sub_circles, sub_leaves = _explore(anchored)
         leaves += sub_leaves
-        assert sub_circles <= circles, "no anchored run beats the main run"
+        if sub_circles > circles:
+            raise InvariantViolation("no anchored run beats the main run")
         if sub_circles == circles:
             flag = True
             break
     chi_seifert = 1 - 2 * genus
-    assert chi_max >= chi_seifert and (flag or chi_max == chi_seifert), (
-        "branching max must equal the best state"
-    )
+    if chi_max < chi_seifert or not (flag or chi_max == chi_seifert):
+        raise InvariantViolation("branching max must equal the best state")
     crosscap = 1 - chi_max if flag else 2 * genus + 1
     return AKResult(chi_max, flag, crosscap, genus, leaves)
 

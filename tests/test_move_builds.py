@@ -1,5 +1,6 @@
 """Oracles for the maps the moves build without the public constructor's
-checks, and for the descent child built in one smoothing."""
+checks, and for the descent children the ``u_minus`` dynamic program reads
+off traversal tokens."""
 
 from random import Random
 
@@ -17,8 +18,9 @@ from splicecap import (
     twist_move,
 )
 from splicecap import surfaces
-from splicecap.search import _band_insertions
-from splicecap.splices import _smooth_pairings, reduced_descent
+from splicecap.curvemap import _curve_tokens, _token_key
+from splicecap.search import _band_insertions, _token_children
+from splicecap.splices import _smooth_pairings
 from conftest import family_members
 
 DISORIENTED = SmoothingChoice.DISORIENTED
@@ -65,9 +67,8 @@ def _co_face_pairs(m):
 def test_smoothings_rebuild(table, knots):
     for m in knots:
         assert_rebuilds(reduce_ri(m))
-        for c, name in enumerate(m.names):
+        for name in m.names:
             assert_rebuilds(smooth(m, name, DISORIENTED))
-            assert_rebuilds(reduced_descent(m, c))
     # two curves take the slower rooted key, so the table alone
     for m in (e.map for e in table):
         for name in m.names:
@@ -108,20 +109,24 @@ def test_branching_maps_rebuild(knots, monkeypatch):
         assert_rebuilds(q)
 
 
-def test_reduced_descent_matches_two_steps(knots, kink):
-    """One smoothing of the splice and the kinks it leaves gives the map that
-    splicing and then reducing gives, field for field."""
-    assert reduced_descent(kink, 0).canonical_key == O_KEY
+def test_token_children_match_map_moves(knots, kink):
+    """The tokens of a one-curve map give its canonical key, and the token
+    child at each crossing gives the key of splicing there and then
+    reducing."""
+    assert _token_key(_curve_tokens(kink.curve_components[0])) == kink.canonical_key
+    assert _token_key([]) == O_KEY
     maps = knots + [m for _, m in family_members(17)]
     children = 0
     for m in maps:
-        for c, name in enumerate(m.names):
-            fused = reduced_descent(m, c)
+        orbit = m.curve_components[0]
+        tokens = _curve_tokens(orbit)
+        assert _token_key(tokens) == m.canonical_key, m
+        crossings = []
+        for p, child in _token_children(tokens):
+            name = m.names[orbit[p] >> 2]
+            crossings.append(name)
             two_step = reduce_ri(smooth(m, name, DISORIENTED))
-            assert (fused.opp, fused.names, fused.free_circles) == (
-                two_step.opp,
-                two_step.names,
-                two_step.free_circles,
-            ), (m, name)
+            assert _token_key(child) == two_step.canonical_key, (m, name)
             children += 1
+        assert sorted(crossings) == sorted(m.names)
     assert children > 3000

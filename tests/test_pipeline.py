@@ -355,6 +355,38 @@ def test_cli_usage_error_exits_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_BROKEN_PARITY = """
+import sys
+import splicecap
+from splicecap import cli, splices
+
+real = splices.count_state_circles
+splices.count_state_circles = lambda m, pairings: real(m, pairings) + 1
+try:
+    splicecap.seifert_genus(splicecap.gen_torus(2))
+except splicecap.InvariantViolation as exc:
+    print(sys.flags.optimize, isinstance(exc, splicecap.SpliceCapError), exc)
+sys.exit(cli.main(["crosscap", sys.argv[1]]))
+"""
+
+
+def test_invariant_violation_under_optimize(record_file):
+    """A broken invariant raises ``InvariantViolation`` under ``python -O``
+    too, which is no input error, and the CLI exits 2."""
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_PARITY, str(record_file)],
+        capture_output=True,
+        text=True,
+    )
+    assert res.stdout.startswith(
+        "1 False parity violation in Seifert circle count\n"
+    ), res.stdout
+    assert res.returncode == 2
+    assert res.stderr == (
+        "internal invariant violation: parity violation in Seifert circle count\n"
+    )
+
+
 def test_cli_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["u-minus", "--help"]) == 0
@@ -404,8 +436,12 @@ def test_cli_verify_table(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert "0 mismatches" in res.stdout
-    assert res.stdout.endswith(", 1 non-prime record(s) skipped\n")
-    assert out.exists()
+    rows = out.read_text().splitlines()[1:]
+    exact = sum(1 for r in rows if ",Exact," in r)
+    assert res.stdout.endswith(
+        f", 1 non-prime record(s) skipped; u_upper: {exact} Exact, "
+        f"{len(rows) - exact} UpperBoundOnly, 0 Exhausted\n"
+    )
 
 
 def test_cli_verify_table_default_budget(tmp_path):
@@ -422,6 +458,9 @@ def test_cli_verify_table_default_budget(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("45 rows, 0 mismatches,")
+    assert res.stdout.endswith(
+        "; u_upper: 35 Exact, 10 UpperBoundOnly, 0 Exhausted\n"
+    )
     assert len(out.read_text().splitlines()) == 46
 
 

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from splicecap import (
+    InvariantViolation,
     MultiComponentError,
     ParseError,
     SearchBudget,
@@ -76,7 +77,7 @@ def test_u_minus_missing_optimal_step_fails_loudly(trefoil, monkeypatch, tmp_pat
     import splicecap.search
 
     monkeypatch.setitem(splicecap.search._UMINUS_MEMO, trefoil.canonical_key, 0)
-    with pytest.raises(AssertionError, match="optimal descent step"):
+    with pytest.raises(InvariantViolation, match="optimal descent step"):
         u_minus(trefoil)
     record = tmp_path / "trefoil.gauss"
     record.write_text("3_1: 1+ 2+ 3+ 1+ 2+ 3+\n")
@@ -224,14 +225,18 @@ def test_witness_step_grammar(trefoil, step, error):
 
 
 def test_verify_witness_propagates_internal_errors(trefoil, monkeypatch):
+    """Only input errors make an invalid witness; an internal bug, an
+    ``InvariantViolation`` included, propagates."""
     import splicecap.search
 
-    def broken(m, line):
-        raise KeyError("internal bug")
+    for error in (KeyError("internal bug"), InvariantViolation("internal bug")):
 
-    monkeypatch.setattr(splicecap.search, "apply_step", broken)
-    with pytest.raises(KeyError):
-        verify_witness(trefoil, Witness(trefoil.canonical_key, ("S- 1",)))
+        def broken(m, line):
+            raise error
+
+        monkeypatch.setattr(splicecap.search, "apply_step", broken)
+        with pytest.raises(type(error)):
+            verify_witness(trefoil, Witness(trefoil.canonical_key, ("S- 1",)))
 
 
 def test_verify_witness_empty_on_circle():

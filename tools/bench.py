@@ -10,6 +10,12 @@ sides.  The file holds every run's metrics, the per-side medians and the
 change/parent ratio of each median, both commit ids, each side's line
 count of ``src/splicecap/*.py`` and the facts of the machine.  It records only: nothing is compared against a bound.
 
+perfbench's traced ``per_layer`` counts are sums over a run, so they grow
+with throughput.  So one ``--trace 1`` run per side and workload, on the
+first seed, is recorded per traced op: ``search.u_minus_calls``,
+``search.u_upper_nodes``, ``surfaces.ak_leaves`` and the self time of
+``search.u_minus``.
+
 It also times scale probes that the 50 s workloads cannot reach, once per
 side, each in a fresh interpreter (so the descent memo starts cold) under
 a 120 s timeout: cold ``u_minus`` on ``Pretzel(5,5,5)``, on
@@ -28,8 +34,8 @@ The parent checkout is any directory holding the parent commit's files (a
 
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
-The twelve runs take about 13 minutes on a 2-vCPU machine, and the probes
-at most 32 more.
+The twelve runs take about 13 minutes on a 2-vCPU machine, the four traced
+runs about 6 more, and the probes at most 32 more.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ WORKLOADS = ("table", "descent")
 SEEDS = (3, 4, 5)
 SECONDS = 50
 PROBE_TIMEOUT_S = 120
+# traced counts recorded per op
+TRACED_COUNTS = ("search.u_minus_calls", "search.u_upper_nodes", "surfaces.ak_leaves")
 # name -> (set-up building ``m`` from the package ``sc``, the timed call)
 PROBES = {
     "u_minus Pretzel(5,5,5)": ("m = sc.gen_pretzel(5, 5, 5)", "sc.u_minus(m)[0]"),
@@ -133,12 +141,12 @@ def _machine() -> dict:
     }
 
 
-def _run(root: Path, workload: str, seed: int) -> dict:
+def _run(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One perfbench run in ``root``: its closing JSON line, metric values
     flattened to numbers."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -148,6 +156,19 @@ def _run(root: Path, workload: str, seed: int) -> dict:
     res = json.loads(proc.stdout.splitlines()[-1])
     res["metrics"] = {k: m["value"] for k, m in res["metrics"].items()}
     return res
+
+
+def _traced(root: Path, workload: str, seed: int) -> dict:
+    """One ``--trace 1`` run in ``root``: the traced op count, and
+    ``TRACED_COUNTS`` and the self time of ``search.u_minus`` per op."""
+    res = _run(root, workload, seed, trace=1)
+    layer = res["metrics"]
+    # the worker runs the op sequence untraced, then the same ops traced
+    ops = res["attempted"] // 2
+    out = {"traced_ops": ops}
+    out.update({f"{k}_per_op": layer[k] / ops for k in TRACED_COUNTS})
+    out["search.u_minus_self_ms_per_op"] = layer["search.u_minus_s"] * 1e3 / ops
+    return out
 
 
 def _probe(root: Path, setup: str, call: str) -> dict | str:
@@ -214,6 +235,12 @@ def main(argv=None) -> int:
                 if medians["parent"][k]
             },
         }
+    report["traced"] = {"seed": SEEDS[0]}
+    for workload in WORKLOADS:
+        report["traced"][workload] = {
+            side: _traced(roots[side], workload, SEEDS[0]) for side in roots
+        }
+        print(f"traced {workload}: {report['traced'][workload]}", file=sys.stderr)
     report["probes"] = {"timeout_s": PROBE_TIMEOUT_S}
     for name, (setup, call) in PROBES.items():
         report["probes"][name] = {
