@@ -49,7 +49,7 @@ from .splices import (
     _insert_band,
     _kinks,
     classify_splice,
-    oriented_pairing,
+    pairing_for,
     reduce_ri,
     ri_plus,
     s_plus,
@@ -403,12 +403,12 @@ def u_upper(m: CurveMap, budget: SearchBudget = SearchBudget()) -> UResult:
     """
     if components(m) != 1:
         raise MultiComponentError("unknotting counts need a knot projection")
-    value, witness = u_minus(m)
     max_crossings = m.n + 6 if budget.max_crossings is None else budget.max_crossings
-    max_cost = value if budget.max_cost is None else budget.max_cost
-    max_nodes = _DEFAULT_MAX_NODES if budget.max_nodes is None else budget.max_nodes
     if max_crossings < m.n:
         raise InvalidMove("budget.max_crossings below the input crossing count")
+    value, witness = u_minus(m)
+    max_cost = value if budget.max_cost is None else budget.max_cost
+    max_nodes = _DEFAULT_MAX_NODES if budget.max_nodes is None else budget.max_nodes
     if value <= 3 and value <= max_cost:
         return UResult(value, SearchStatus.EXACT, witness)
 
@@ -442,13 +442,12 @@ def sigma_from_witness(p: CurveMap, w: Witness) -> State:
     pair_by_name: dict[str, int] = {}
     cur = p
     for line in w.steps:
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("S-", "RI-"):
+        op, (name, *_) = _parse_step(line)
+        if op not in ("S-", "RI-"):
             raise InvalidMove(f"not a pure-descent step: {line!r}")
-        name = parts[1]
         nxt = apply_step(cur, line)
-        dis = 1 - oriented_pairing(cur, cur.crossing_index(name))
-        pair_by_name[name] = dis if parts[0] == "S-" else 1 - dis
+        dis = pairing_for(cur, cur.crossing_index(name), SmoothingChoice.DISORIENTED)
+        pair_by_name[name] = dis if op == "S-" else 1 - dis
         cur = nxt
     if cur.canonical_key != O_KEY:
         raise InvalidMove("witness does not end at the simple closed curve")

@@ -212,24 +212,7 @@ def apply_state(m: CurveMap, state: State) -> int:
     """Number of circles after smoothing every crossing of ``m`` by ``state``."""
     if state.base.opp != m.opp or state.base.names != m.names:
         raise InvalidMove("state was built for a different projection")
-    return count_state_circles(m, state.pairings) + m.free_circles
-
-
-def count_state_circles(m: CurveMap, pairings) -> int:
-    """Circles of a total smoothing, given one pairing per crossing index."""
-    seen = [False] * (4 * m.n)
-    circles = 0
-    for d0 in range(4 * m.n):
-        if seen[d0]:
-            continue
-        circles += 1
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            d = 4 * (d >> 2) + _arc_partner(d & 3, pairings[d >> 2])
-            seen[d] = True
-            d = m.opp[d]
-    return circles
+    return _smooth_pairings(m, dict(enumerate(state.pairings))).free_circles
 
 
 def state_chi(n: int, circles: int) -> int:
@@ -251,11 +234,8 @@ def seifert_genus(m: CurveMap) -> int:
     alternating diagrams)."""
     if components(m) != 1:
         raise MultiComponentError("Seifert genus needs a knot projection")
-    if m.n == 0:
-        return 0
-    pairings = tuple(oriented_pairing(m, c) for c in range(m.n))
-    circles = count_state_circles(m, pairings) + m.free_circles
-    g2 = 1 + m.n - circles
+    seifert = {c: oriented_pairing(m, c) for c in range(m.n)}
+    g2 = 1 + m.n - _smooth_pairings(m, seifert).free_circles
     if g2 % 2:
         raise InvariantViolation("parity violation in Seifert circle count")
     return g2 // 2

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from splicecap import (
@@ -97,6 +99,42 @@ def round_wise_reduce_ri(m):
             m, {c: 1 - oriented_pairing(m, c) for c in m.monogon_crossings}
         )
     return m
+
+
+def count_state_circles(m, pairings):
+    """Circles of a total smoothing, given one pairing per crossing index
+    (free circles not counted), found by following the arcs of every
+    crossing: an oracle for the state counts of ``_smooth_pairings``."""
+    seen = [False] * (4 * m.n)
+    circles = 0
+    for d0 in range(4 * m.n):
+        if seen[d0]:
+            continue
+        circles += 1
+        d = d0
+        while not seen[d]:
+            seen[d] = True
+            # pairing 0 joins slots {0,1} and {2,3}, pairing 1 {1,2} and {3,0}
+            slot = d & 3
+            d = 4 * (d >> 2) + (slot ^ 1 if pairings[d >> 2] == 0 else 3 - slot)
+            seen[d] = True
+            d = m.opp[d]
+    return circles
+
+
+def brute_force_chis(m):
+    """State Euler characteristics over all 2^n states: (Seifert, best
+    non-Seifert), the latter None when there is no other state."""
+    seifert = tuple(oriented_pairing(m, c) for c in range(m.n))
+    chi_s = None
+    best_non = None
+    for ps in product((0, 1), repeat=m.n):
+        chi = count_state_circles(m, ps) + m.free_circles - m.n
+        if ps == seifert:
+            chi_s = chi
+        elif best_non is None or chi > best_non:
+            best_non = chi
+    return chi_s, best_non
 
 
 def trial_twist_move(m, dart1, dart2, i, variant="A"):

@@ -34,9 +34,9 @@ from splicecap import (
 )
 from splicecap.curvemap import SignedGaussCode, extract_code
 from splicecap.search import _band_insertions
-from splicecap.splices import _smooth_pairings, count_state_circles, oriented_pairing
+from splicecap.splices import _smooth_pairings
 from splicecap.surfaces import ak_min_genus
-from conftest import family_members
+from conftest import brute_force_chis, count_state_circles, family_members
 
 WITNESS_PATH = Path(__file__).resolve().parents[1] / (
     "src/splicecap/data/witness_74_sum.witness"
@@ -254,15 +254,7 @@ def test_criterion_9_property_suites(table):
 
     # small-instance brute-force oracle for the branching
     for m in small:
-        base = tuple(oriented_pairing(m, c) for c in range(m.n))
-        chi_s = None
-        best_non = None
-        for ps in product((0, 1), repeat=m.n):
-            chi = count_state_circles(m, ps) + m.free_circles - m.n
-            if ps == base:
-                chi_s = chi
-            elif best_non is None or chi > best_non:
-                best_non = chi
+        chi_s, best_non = brute_force_chis(m)
         r = ak_min_genus(m)
         assert r.chi_max == max(chi_s, best_non)
         assert r.nonorientable_at_max == (best_non == r.chi_max)

@@ -157,22 +157,11 @@ def test_witness_counts_for_twist_steps(trefoil):
 def test_state_oracle_extended(table):
     """Full 2^n state enumeration vs the branching for every table entry
     (the acceptance suite keeps the n <= 6 slice; this sweeps all 45)."""
-    from itertools import product
-
-    from splicecap.splices import count_state_circles, oriented_pairing
+    from conftest import brute_force_chis
 
     for entry in table:
-        m = entry.map
-        base = tuple(oriented_pairing(m, c) for c in range(m.n))
-        chi_s = None
-        best_non = None
-        for ps in product((0, 1), repeat=m.n):
-            chi = count_state_circles(m, ps) - m.n
-            if ps == base:
-                chi_s = chi
-            elif best_non is None or chi > best_non:
-                best_non = chi
-        r = ak_min_genus(m)
+        chi_s, best_non = brute_force_chis(entry.map)
+        r = ak_min_genus(entry.map)
         assert r.chi_max == max(chi_s, best_non), entry.name
         assert r.nonorientable_at_max == (best_non == r.chi_max), entry.name
 

@@ -279,6 +279,19 @@ def test_u_upper_budget_validation(trefoil):
         u_upper(trefoil, SearchBudget(max_crossings=2))
 
 
+def test_u_upper_checks_crossing_cap_before_descent(monkeypatch, table_maps):
+    """A crossing cap below the input's size is refused before the seed
+    descent runs, so the descent memo is left as it was."""
+    import splicecap.search
+    from splicecap import InvalidMove
+
+    memo = {O_KEY: 0}
+    monkeypatch.setattr(splicecap.search, "_UMINUS_MEMO", memo)
+    with pytest.raises(InvalidMove, match="max_crossings below"):
+        u_upper(table_maps["7_4"], SearchBudget(max_crossings=5))
+    assert memo == {O_KEY: 0}
+
+
 def test_u_upper_witness_replays(table_maps):
     m = table_maps["8x1"]  # a band count of four: past the exact shortcut
     result = u_upper(m, SearchBudget(m.n + 2, 4, 30))

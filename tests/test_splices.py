@@ -10,11 +10,13 @@ from splicecap import (
     SpliceCapError,
     SpliceKind,
     apply_state,
+    bundled_table_path,
     classify_splice,
     components,
     equivalent,
     gen_rational,
     gen_torus,
+    ingest_table,
     is_seifert_state,
     make_state,
     ri_plus,
@@ -26,7 +28,8 @@ from splicecap import (
     O_KEY,
     O_MAP,
 )
-from splicecap.splices import _smooth_pairings, count_state_circles
+from splicecap.splices import _smooth_pairings, oriented_pairing
+from conftest import count_state_circles, family_members
 
 ORIENTED = SmoothingChoice.ORIENTED
 DISORIENTED = SmoothingChoice.DISORIENTED
@@ -156,6 +159,22 @@ def test_seifert_genus(trefoil, table_maps):
     assert seifert_genus(gen_rational(1, 2)) == 1
     assert seifert_genus(table_maps["4_1"]) == 1
     assert seifert_genus(table_maps["6_2"]) == 2
+
+
+def test_seifert_genus_against_state_oracle(table):
+    """The genus from ``_smooth_pairings``'s Seifert circle count equals the
+    arc-following oracle's on both bundled files, the family members up to
+    17 crossings and each bundled projection grown by two kinks."""
+    nine = ingest_table(bundled_table_path().parent / "projections_9.gauss")
+    maps = [e.map for e in table] + [e.map for e in nine]
+    maps += [m for _, m in family_members(17)]
+    for e in table:
+        m = ri_plus(e.map, (e.map.names[0], 0), "L")
+        maps.append(ri_plus(m, (m.names[-1], 1), "R"))
+    for m in maps:
+        seifert = [oriented_pairing(m, c) for c in range(m.n)]
+        circles = count_state_circles(m, seifert) + m.free_circles
+        assert 2 * seifert_genus(m) == 1 + m.n - circles, m
 
 
 # ---------------------------------------------------------------------------

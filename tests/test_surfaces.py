@@ -6,6 +6,7 @@ from splicecap import (
     AKResult,
     InvalidMove,
     MultiComponentError,
+    ParseError,
     SmoothingChoice,
     Witness,
     ak_min_genus,
@@ -30,23 +31,14 @@ from splicecap import (
     O_MAP,
 )
 from splicecap.curvemap import CurveMap
-from splicecap.splices import _smooth_pairings, count_state_circles, oriented_pairing
+from splicecap.splices import _smooth_pairings, oriented_pairing
 from splicecap.surfaces import _explore
-from conftest import SPLITTING_CODE, family_members
-
-
-def brute_force_chis(m):
-    """Best state Euler characteristics: (seifert, best non-seifert)."""
-    base = tuple(oriented_pairing(m, c) for c in range(m.n))
-    chi_s = None
-    best_non = None
-    for ps in product((0, 1), repeat=m.n):
-        chi = count_state_circles(m, ps) + m.free_circles - m.n
-        if ps == base:
-            chi_s = chi
-        elif best_non is None or chi > best_non:
-            best_non = chi
-    return chi_s, best_non
+from conftest import (
+    SPLITTING_CODE,
+    brute_force_chis,
+    count_state_circles,
+    family_members,
+)
 
 
 def test_brute_force_oracle(table, table_maps, one_band_children):
@@ -179,9 +171,13 @@ def test_sigma_from_witness_table(table):
 
 
 def test_sigma_rejects_non_descent(trefoil):
-    for step in ("RI+ 1.0 L", ""):
+    bad = Witness(trefoil.canonical_key, ("RI+ 1.0 L",))
+    with pytest.raises(InvalidMove):
+        sigma_from_witness(trefoil, bad)
+    # a step the witness grammar rejects fails as it does in ``apply_step``
+    for step in ("", "S- 1 2"):
         bad = Witness(trefoil.canonical_key, (step,))
-        with pytest.raises(InvalidMove):
+        with pytest.raises(ParseError):
             sigma_from_witness(trefoil, bad)
 
 

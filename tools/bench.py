@@ -16,18 +16,20 @@ first seed, is recorded per traced op: ``search.u_minus_calls``,
 ``search.u_upper_nodes``, ``surfaces.ak_leaves`` and the self time of
 ``search.u_minus``.
 
-It also times scale probes that the 50 s workloads cannot reach, once per
-side, each in a fresh interpreter (so the descent memo starts cold) under
-a 120 s timeout: cold ``u_minus`` on ``Pretzel(5,5,5)``, on
-``7_4 # 7_4 # 7_4`` and on ``gen_torus(300)``, ``crosscap_alt`` on
-``gen_torus(600)``, acceptance criterion 8's ``u_upper`` call on
-``7_4 # 7_4`` (``sum_74.gauss``), ``u_upper`` on it with the default budget,
-``u_upper`` with the default budget on the first 20 records of
+It also times scale probes that the 50 s workloads cannot reach, three
+times per side, alternating which side runs first, each in a fresh
+interpreter (so the descent memo starts cold) under a 120 s timeout: cold
+``u_minus`` on ``Pretzel(5,5,5)``, on ``7_4 # 7_4 # 7_4`` and on
+``gen_torus(300)``, ``crosscap_alt`` on ``gen_torus(600)``, acceptance
+criterion 8's ``u_upper`` call on ``7_4 # 7_4`` (``sum_74.gauss``),
+``u_upper`` on it with the default budget, ``u_upper`` with the default
+budget on the first 20 records of
 ``projections_9.gauss`` whose ``u_minus`` is 4 (the set-up finds them and
 then empties the descent memo), and ``verify_observation`` with its default
-budget on the bundled table and external snapshot.  A probe records its
-value and seconds, ``"timeout"``, or ``{"error": <last stderr line>}`` when
-it raises.
+budget on the bundled table and external snapshot.  A probe reading is
+its value and seconds, ``"timeout"``, or ``{"error": <last stderr line>}``
+when it raises; the file holds every reading and, per side, the median
+seconds of the readings that returned a value.
 
 The parent checkout is any directory holding the parent commit's files (a
 ``git worktree`` or a clone).  Run from anywhere, stdlib only:
@@ -35,7 +37,8 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, the four traced
-runs about 6 more, and the probes at most 32 more.
+runs about 6 more, and the probes about 10 more (at most 96, if every
+reading times out).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ WORKLOADS = ("table", "descent")
 SEEDS = (3, 4, 5)
 SECONDS = 50
 PROBE_TIMEOUT_S = 120
+PROBE_REPEATS = 3
 # traced counts recorded per op
 TRACED_COUNTS = ("search.u_minus_calls", "search.u_upper_nodes", "surfaces.ak_leaves")
 # name -> (set-up building ``m`` from the package ``sc``, the timed call)
@@ -192,6 +196,18 @@ def _probe(root: Path, setup: str, call: str) -> dict | str:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _order(turn: int) -> tuple[str, str]:
+    """The sides in the order they run on the given turn: alternating, so a
+    slow drift of the machine's speed falls on both."""
+    return ("parent", "change") if turn % 2 == 0 else ("change", "parent")
+
+
+def _median_seconds(readings: list) -> float | None:
+    """The median seconds of the probe readings that returned a value."""
+    seconds = [r["seconds"] for r in readings if isinstance(r, dict) and "seconds" in r]
+    return statistics.median(seconds) if seconds else None
+
+
 def _medians(runs: list[dict]) -> dict:
     names = runs[0]["metrics"]
     return {k: statistics.median(r["metrics"][k] for r in runs) for k in names}
@@ -213,7 +229,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         pairs = []
         for seed in SEEDS:
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            order = _order(pair)
             pair += 1
             runs = {side: _run(roots[side], workload, seed) for side in order}
             pairs.append({"seed": seed, "first": order[0], **runs})
@@ -241,10 +257,17 @@ def main(argv=None) -> int:
             side: _traced(roots[side], workload, SEEDS[0]) for side in roots
         }
         print(f"traced {workload}: {report['traced'][workload]}", file=sys.stderr)
-    report["probes"] = {"timeout_s": PROBE_TIMEOUT_S}
+    report["probes"] = {"timeout_s": PROBE_TIMEOUT_S, "repeats": PROBE_REPEATS}
+    turn = 0
     for name, (setup, call) in PROBES.items():
+        readings = {side: [] for side in roots}
+        for _ in range(PROBE_REPEATS):
+            for side in _order(turn):
+                readings[side].append(_probe(roots[side], setup, call))
+            turn += 1
         report["probes"][name] = {
-            side: _probe(roots[side], setup, call) for side in roots
+            side: {"readings": r, "median_s": _median_seconds(r)}
+            for side, r in readings.items()
         }
         print(f"{name}: {report['probes'][name]}", file=sys.stderr)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
