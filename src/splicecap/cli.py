@@ -76,8 +76,8 @@ def cmd_u_minus(args) -> None:
 
 
 def cmd_u_upper(args) -> None:
+    budget = SearchBudget(args.max_crossings, args.max_cost, args.max_nodes)
     for entry in ingest_table(args.file):
-        budget = SearchBudget(args.max_crossings, args.max_cost, args.max_nodes)
         result = u_upper(entry.map, budget)
         shown = "-" if result.value is None else result.value
         print(f"{entry.name}: u <= {shown} ({result.status.value})")

@@ -224,12 +224,6 @@ def gen_family(spec: FamilySpec) -> CurveMap:
 # Connected sums and prime factorization
 
 
-def _rotate_after_lowest(word: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    lowest = min((lab for lab, _ in word), key=label_sort_key)
-    k = next(i for i, (lab, _) in enumerate(word) if lab == lowest)
-    return word[k + 1 :] + word[: k + 1]
-
-
 def connected_sum(
     p1: CurveMap,
     dart1: tuple[str, int] | None,
@@ -241,47 +235,37 @@ def connected_sum(
     The basepoint arc of each factor is the edge of the given dart; by
     default, the arc following the first visit to the lowest-labeled
     crossing.  Realized as word concatenation at the basepoints, crossings
-    relabeled ``1..n1+n2``.
+    relabeled ``1..n1+n2``.  A simple closed curve summand leaves the other
+    factor, rebuilt from its code.
     """
     for p in (p1, p2):
         if components(p) != 1:
             raise MultiComponentError("connected sum needs knot projections")
-    if p1.n == 0:
-        return _relabel(p2)
-    if p2.n == 0:
-        return _relabel(p1)
-    w1 = _cut_word(p1, dart1)
-    w2 = _cut_word(p2, dart2)
+    if p1.n == 0 or p2.n == 0:
+        return build_map(extract_code(p1 if p2.n == 0 else p2))
     relabeled: list[tuple[str, int]] = []
     mapping: dict[tuple[int, str], str] = {}
-    for which, w in ((1, w1), (2, w2)):
+    for which, w in ((1, _cut_word(p1, dart1)), (2, _cut_word(p2, dart2))):
         for lab, sign in w:
-            key = (which, lab)
-            if key not in mapping:
-                mapping[key] = str(len(mapping) + 1)
-            relabeled.append((mapping[key], sign))
-    code = SignedGaussCode((tuple(relabeled),), p1.free_circles + p2.free_circles)
-    return build_map(code)
+            new = mapping.setdefault((which, lab), str(len(mapping) + 1))
+            relabeled.append((new, sign))
+    return build_map(SignedGaussCode((tuple(relabeled),)))
 
 
-def _relabel(m: CurveMap) -> CurveMap:
-    if m.n == 0:
-        return m
-    return build_map(extract_code(m))
+def _cut_word(m: CurveMap, dart: tuple[str, int] | None) -> tuple:
+    """The factor's word cut open at the chosen basepoint arc.
 
-
-def _cut_word(m: CurveMap, dart: tuple[str, int] | None) -> list[tuple[str, int]]:
-    """The factor's word cut open at the chosen basepoint arc."""
-    word = list(extract_code(m).components[0])
+    ``word[i]`` is the crossing that the edge of exit dart
+    ``curve_components[0][i]`` arrives at, so the word cut at that edge
+    starts at ``i``.
+    """
+    word = extract_code(m).components[0]
     if dart is None:
-        return _rotate_after_lowest(word)
-    d = m.dart(*dart)
-    edge = {d, m.opp[d]}
-    # the edge traversed after visit i is the exit dart at position i of the walk
-    for i, e in enumerate(m.curve_components[0]):
-        if e in edge:
-            return word[i + 1 :] + word[: i + 1]
-    raise InvalidMove("basepoint dart not found on the traversal")
+        i = 1 + min(range(len(word)), key=lambda k: label_sort_key(word[k][0]))
+    else:
+        d = m.dart(*dart)
+        i = m.curve_components[0].index(d if m.out_darts[d] else m.opp[d])
+    return word[i:] + word[:i]
 
 
 def _sub_factor(m: CurveMap, orbit: list[int], s: int, length: int) -> CurveMap:

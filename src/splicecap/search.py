@@ -185,9 +185,14 @@ class VerifyResult:
     error: str | None = None
 
 
+_BASE_MISMATCH = "witness base key does not match the projection"
+
+
 def verify_witness(p: CurveMap, w: Witness) -> VerifyResult:
-    """Replay a witness; valid iff every step is legal and the end is the
-    simple closed curve."""
+    """Replay a witness; valid iff its base is ``p``, every step is legal
+    and the end is the simple closed curve."""
+    if w.base_key != p.canonical_key:
+        return VerifyResult(False, 0, 0, p.canonical_key, None, _BASE_MISMATCH)
     cur = p
     for i, line in enumerate(w.steps):
         try:
@@ -439,6 +444,8 @@ def sigma_from_witness(p: CurveMap, w: Witness) -> State:
     crossings consumed by kink removals take the other (oriented) smoothing.
     The resulting circle count is one plus the witness's kink-removal count.
     """
+    if w.base_key != p.canonical_key:
+        raise InvalidMove(_BASE_MISMATCH)
     pair_by_name: dict[str, int] = {}
     cur = p
     for line in w.steps:

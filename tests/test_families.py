@@ -5,6 +5,7 @@ import pytest
 
 from splicecap import (
     ClassKind,
+    CurveMap,
     ClassLabel,
     InvalidMove,
     MultiComponentError,
@@ -23,6 +24,7 @@ from splicecap import (
     gen_torus,
     is_prime,
     match_family,
+    mirror_map,
     ri_plus,
     smooth,
     u_minus,
@@ -133,6 +135,56 @@ def test_sum_basepoint_choices(trefoil, table_maps):
             assert u_minus(s)[0] == expect
 
 
+def test_sum_with_circle_keeps_the_code(table):
+    """A simple closed curve summand, on either side, leaves the other
+    factor rebuilt from its code.  (``build_map`` names crossings in the
+    order the word first visits them, so the rebuilt map's code can be a
+    relabelled rotation of the factor's.)"""
+    for entry in table:
+        want = render_code(extract_code(build_map(extract_code(entry.map))))
+        for s in (
+            connected_sum(entry.map, None, O_MAP, None),
+            connected_sum(O_MAP, None, entry.map, None),
+        ):
+            assert render_code(extract_code(s)) == want, entry.name
+    circle = connected_sum(O_MAP, None, O_MAP, None)
+    assert render_code(extract_code(circle)) == render_code(extract_code(O_MAP))
+
+
+def _edge_swap_keys(p1, d1, p2, d2):
+    """Keys of the sums that join the edge of dart ``d1`` of ``p1`` to the
+    edge of dart ``d2`` of ``p2`` or of its mirror: both edges are cut and
+    their ends swapped, both ways.  An oracle built on the two edge
+    involutions alone."""
+    keys = set()
+    reflected = (d2 & ~3) | ((-d2) & 3)  # the dart's image under mirror_map
+    for g, e in ((p2, d2), (mirror_map(p2), reflected)):
+        shift = 4 * p1.n
+        opp = list(p1.opp) + [x + shift for x in g.opp]
+        a, b = d1, e + shift
+        a2, b2 = opp[a], opp[b]
+        for x, y in ((b, b2), (b2, b)):
+            swapped = list(opp)
+            swapped[a], swapped[x] = x, a
+            swapped[a2], swapped[y] = y, a2
+            keys.add(CurveMap(swapped).canonical_key)
+    return keys
+
+
+def test_sum_cuts_at_the_named_edge(table):
+    """A sum at named darts joins the edges those darts lie on."""
+    rng = Random(17)
+    for _ in range(200):
+        a, b = rng.choice(table).map, rng.choice(table).map
+        d1, d2 = rng.randrange(4 * a.n), rng.randrange(4 * b.n)
+        s = connected_sum(
+            a, (a.names[d1 >> 2], d1 & 3), b, (b.names[d2 >> 2], d2 & 3)
+        )
+        assert s.canonical_key in _edge_swap_keys(a, d1, b, d2), (
+            a.dart_name(d1), b.dart_name(d2), extract_code(a), extract_code(b)
+        )
+
+
 def test_decompose_prime_basics(trefoil, kink):
     assert decompose_prime(O_MAP) == []
     assert is_prime(trefoil)
@@ -148,8 +200,6 @@ def test_decompose_reassembles(table, trefoil, table_maps):
     """Factors multiply back to the input for some basepoint/orientation
     choice (projection-level sums are not unique, so the default basepoints
     need not reproduce the original gluing)."""
-    from splicecap import mirror_map
-
     def reassembles(s, f1, f2):
         for n1 in f1.names:
             for s1 in range(4):

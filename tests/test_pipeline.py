@@ -418,6 +418,15 @@ def test_cli_u_upper_zero_caps(record_file):
         assert "budget caps must be positive" in res.stderr
 
 
+def test_cli_u_upper_checks_caps_before_records(tmp_path):
+    """A bad cap is reported on a file with no record too."""
+    empty = tmp_path / "empty.gauss"
+    empty.write_text("# no records\n")
+    res = run_cli("u-upper", str(empty), "--max-nodes", "0")
+    assert res.returncode == 1
+    assert "budget caps must be positive" in res.stderr
+
+
 def test_cli_verify_table(tmp_path):
     out = tmp_path / "report.csv"
     small = tmp_path / "small.gauss"

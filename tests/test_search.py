@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from splicecap import (
+    InvalidMove,
     InvariantViolation,
     MultiComponentError,
     ParseError,
@@ -23,6 +24,7 @@ from splicecap import (
     parse_code,
     reduce_ri,
     ri_plus,
+    sigma_from_witness,
     smooth,
     u_minus,
     u_upper,
@@ -187,6 +189,19 @@ def test_verify_witness_rejects(trefoil):
     result = verify_witness(trefoil, short)
     assert not result.valid and result.failed_at is None
     assert result.endpoint != O_KEY
+
+
+def test_verify_witness_checks_base(table_maps):
+    """A witness replays only on the projection it was built on: the
+    6_3 descent also unknots 6_2, but it certifies 3 bands, not 6_2's 2."""
+    witness = u_minus(table_maps["6_3"])[1]
+    result = verify_witness(table_maps["6_2"], witness)
+    assert not result.valid and result.failed_at is None
+    assert result.error == "witness base key does not match the projection"
+    assert (result.s_count, result.ri_count) == (0, 0)
+    with pytest.raises(InvalidMove, match="witness base key"):
+        sigma_from_witness(table_maps["6_2"], witness)
+    assert verify_witness(table_maps["6_3"], witness).valid
 
 
 def test_verify_witness_rejects_bad_twist_count(trefoil):

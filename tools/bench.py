@@ -20,7 +20,9 @@ It also times scale probes that the 50 s workloads cannot reach, three
 times per side, alternating which side runs first, each in a fresh
 interpreter (so the descent memo starts cold) under a 120 s timeout: cold
 ``u_minus`` on ``Pretzel(5,5,5)``, on ``7_4 # 7_4 # 7_4`` and on
-``gen_torus(300)``, ``crosscap_alt`` on ``gen_torus(600)``, acceptance
+``gen_torus(300)``, ``crosscap_alt`` on ``gen_torus(600)``, the
+canonical key (its length is the value) of a fresh ``gen_torus(600)`` and
+of the two-curve oriented smoothing of ``gen_torus(32)``, acceptance
 criterion 8's ``u_upper`` call on ``7_4 # 7_4`` (``sum_74.gauss``),
 ``u_upper`` on it with the default budget, ``u_upper`` with the default
 budget on the first 20 records of
@@ -37,7 +39,7 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, the four traced
-runs about 6 more, and the probes about 10 more (at most 96, if every
+runs about 6 more, and the probes about 11 more (at most 120, if every
 reading times out).
 """
 
@@ -72,6 +74,12 @@ PROBES = {
     ),
     "u_minus gen_torus(300)": ("m = sc.gen_torus(300)", "sc.u_minus(m)[0]"),
     "crosscap_alt gen_torus(600)": ("m = sc.gen_torus(600)", "sc.crosscap_alt(m)"),
+    "canonical_key gen_torus(600)": ("m = sc.gen_torus(600)", "len(m.canonical_key)"),
+    "canonical_key oriented smoothing of gen_torus(32)": (
+        "t = sc.gen_torus(32)\n"
+        "m = sc.smooth(t, t.names[0], sc.SmoothingChoice.ORIENTED)",
+        "len(m.canonical_key)",
+    ),
     "u_upper 7_4#7_4 (criterion 8)": (
         "m = sc.ingest_table(sc.bundled_witness_path().parent / 'sum_74.gauss')[0].map",
         "sc.u_upper(m, sc.SearchBudget(max_crossings=18, max_cost=5, max_nodes=1500))"
