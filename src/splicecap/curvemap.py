@@ -46,18 +46,10 @@ __all__ = [
 ]
 
 
-def rot(d: int) -> int:
-    """Next counterclockwise dart at the same crossing."""
-    return (d & ~3) | ((d + 1) & 3)
-
-
-def rot_inv(d: int) -> int:
-    return (d & ~3) | ((d - 1) & 3)
-
-
 def label_sort_key(label: str) -> tuple:
     """Natural order: numeric labels numerically, others lexicographically."""
-    return (0, int(label), "") if label.isdigit() else (1, 0, label)
+    numeric = label.isascii() and label.isdigit()
+    return (0, int(label), "") if numeric else (1, 0, label)
 
 
 def dense_opp(opp, crossings) -> list[int]:
@@ -142,7 +134,9 @@ def parse_code(text: str) -> SignedGaussCode:
             label, sign_ch = tok[:-1], tok[-1:]
             if sign_ch not in "+-" or not label:
                 raise ParseError(f"malformed token {tok!r}")
-            if not all(ch.isalnum() or ch == "_" for ch in label):
+            if not label.isascii() or not all(
+                ch.isalnum() or ch == "_" for ch in label
+            ):
                 raise ParseError(f"bad label in token {tok!r}")
             word.append((label, 1 if sign_ch == "+" else -1))
         words.append(tuple(word))
@@ -444,7 +438,13 @@ def build_map(code: SignedGaussCode) -> CurveMap:
 
 
 def extract_code(m: CurveMap) -> SignedGaussCode:
-    """Read a signed Gauss code back off a map (inverse of :func:`build_map`)."""
+    """Read a signed Gauss code back off a map.
+
+    Each curve is read from its least dart (:attr:`CurveMap.curve_components`),
+    so :func:`build_map` of the result has the same canonical key as ``m``,
+    but the code need not repeat the word ``m`` was built from: ``3+ 2+ 1+
+    3+ 2+ 1+`` reads back as ``1+ 2+ 3+ 1+ 2+ 3+``.
+    """
     first_entry: dict[int, int] = {}
     ccw: dict[int, bool] = {}
     occ: dict[int, list[tuple[int, int]]] = {}
@@ -538,51 +538,36 @@ def interleaved(m: CurveMap, c1: str, c2: str) -> bool:
 
 
 def _canonical_key(m: CurveMap) -> bytes:
-    # one curve visits every crossing, so its map is connected
-    one_curve = len(m.curve_components) == 1
-    comps = (tuple(range(m.n)),) if one_curve else m.graph_components
-    if len(comps) == 1:
-        curves = [m.curve_components]
-    else:
-        owner = {c: i for i, crossings in enumerate(comps) for c in crossings}
-        curves = [[] for _ in comps]
-        for orbit in m.curve_components:
-            curves[owner[orbit[0] >> 2]].append(orbit)
-    comp_keys = sorted(
-        _component_key(m, crossings, cs) for crossings, cs in zip(comps, curves)
-    )
-    return _key(m.n, m.free_circles, comp_keys)
+    if len(m.curve_components) == 1:
+        return _token_key(_curve_tokens(m.curve_components[0]), m.free_circles)
+    comps = m.graph_components
+    owner = {c: i for i, crossings in enumerate(comps) for c in crossings}
+    curves = [[] for _ in comps]
+    for orbit in m.curve_components:
+        curves[owner[orbit[0] >> 2]].append(orbit)
+    # a component with one curve keys by its tokens in linear time; the
+    # rooted encoding of the others is quadratic
+    texts = []
+    for crossings, cs in zip(comps, curves):
+        nn = len(crossings)
+        if len(cs) == 1:
+            seq = _least_rotation(_curve_tokens(cs[0]))
+        else:
+            seq = _rooted_canon(dense_opp(m.opp, crossings), nn)
+        texts.append(f"c{nn}:" + ",".join(map(str, seq)))
+    return ";".join([f"n{m.n}o{m.free_circles}", *sorted(texts)]).encode()
 
 
-def _key(n: int, free_circles: int, comp_keys) -> bytes:
-    return ";".join([f"n{n}o{free_circles}", *comp_keys]).encode()
-
-
-def _component_text(nn: int, seq) -> str:
-    return f"c{nn}:" + ",".join(map(str, seq))
-
-
-def _component_key(m: CurveMap, crossings: tuple[int, ...], curves) -> str:
-    """Key of the connected sub-map on ``crossings``, whose curves are
-    ``curves``: the traversal tokens of a single curve, else the rooted
-    encoding of the densely renumbered sub-map."""
-    nn = len(crossings)
-    if len(curves) == 1:
-        seq = _least_rotation(_curve_tokens(curves[0]))
-    else:
-        opp = m.opp if nn == m.n else dense_opp(m.opp, crossings)
-        seq = _rooted_canon(opp, nn)
-    return _component_text(nn, seq)
-
-
-def _token_key(tokens: list[int]) -> bytes:
-    """The canonical key of the one-curve map whose traversal tokens
-    (:func:`_curve_tokens`) are ``tokens``, read from any start, in either
-    direction or reflected; no tokens is the simple closed curve."""
+def _token_key(tokens: list[int], free_circles: int = 0) -> bytes:
+    """The canonical key of the map made of one curve, whose traversal
+    tokens (:func:`_curve_tokens`) are ``tokens``, read from any start, in
+    either direction or reflected, and of ``free_circles`` crossingless
+    circles.  No tokens makes the curve one more crossingless circle."""
     n = len(tokens) >> 1
     if not n:
-        return O_KEY
-    return _key(n, 0, [_component_text(n, _least_rotation(tokens))])
+        return f"n0o{free_circles + 1}".encode()
+    seq = ",".join(map(str, _least_rotation(tokens)))
+    return f"n{n}o{free_circles};c{n}:{seq}".encode()
 
 
 def _curve_tokens(orbit: tuple[int, ...]) -> list[int]:
@@ -635,29 +620,23 @@ def _least_rotation(tokens: list[int]) -> list[int]:
 def _rooted_canon(opp: list[int], n: int) -> tuple[int, ...]:
     """Minimal rooted relabeling of a general connected map.
 
-    Darts are renumbered by a deterministic traversal (rotation first, then
-    edge involution); the encoding lists the relabeled rotation and involution
-    images.  Minimized over all roots and both global orientations.
+    Darts are renumbered by a breadth-first walk from the root, taking a
+    dart's rotation successor before its edge partner; the encoding lists
+    both images of every dart in the new numbering.  Minimized over all
+    roots and both global orientations.
     """
-    total = 4 * n
     best: tuple[int, ...] | None = None
-    for root in range(total):
-        for orient in (0, 1):
-            step = rot if orient == 0 else rot_inv
+    for root in range(4 * n):
+        for turn in (1, 3):  # counterclockwise, then clockwise
             new = {root: 0}
             order = [root]
-            i = 0
-            while i < len(order):
-                d = order[i]
-                i += 1
-                for nb in (step(d), opp[d]):
+            enc = []
+            for d in order:  # grows while it is walked
+                for nb in ((d & ~3) | ((d + turn) & 3), opp[d]):
                     if nb not in new:
                         new[nb] = len(order)
                         order.append(nb)
-            enc = []
-            for d in order:
-                enc.append(new[step(d)])
-                enc.append(new[opp[d]])
+                    enc.append(new[nb])
             cand = tuple(enc)
             if best is None or cand < best:
                 best = cand

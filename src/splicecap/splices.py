@@ -185,6 +185,8 @@ class State:
     def __post_init__(self):
         if len(self.pairings) != self.base.n:
             raise InvalidMove("state must assign a smoothing to every crossing")
+        if not set(self.pairings) <= {0, 1}:
+            raise InvalidMove("state pairings must be 0 or 1")
 
     @property
     def choices(self) -> dict[str, SmoothingChoice]:
@@ -290,7 +292,8 @@ def ri_plus(m: CurveMap, dart: tuple[str, int] | None, side: str) -> CurveMap:
 def _band_darts(
     m: CurveMap, dart1: tuple[str, int], dart2: tuple[str, int]
 ) -> tuple[int, int]:
-    """The darts of two distinct locators on a common face of ``m``."""
+    """The darts of two distinct locators on a common face and on a common
+    curve of ``m``."""
     if m.n == 0:
         raise DegenerateOnO(
             "no distinct arcs on the simple closed curve; use ri_plus"
@@ -301,6 +304,11 @@ def _band_darts(
         raise InvalidMove("need two distinct darts")
     if not any(d1 in orbit and d2 in orbit for orbit in m.face_orbits):
         raise InvalidMove("darts do not lie on a common face")
+    curves = (
+        {e for d in orbit for e in (d, m.opp[d])} for orbit in m.curve_components
+    )
+    if not any(d1 in darts and d2 in darts for darts in curves):
+        raise InvalidMove("darts lie on different curves; a band would join them")
     return d1, d2
 
 

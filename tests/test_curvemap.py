@@ -47,6 +47,9 @@ def test_parse_errors():
         parse_code("1* 1*")
     with pytest.raises(ParseError):
         parse_record("no record separator")
+    for text in ("²+ ²+", "١+ ١+"):  # labels are ASCII only
+        with pytest.raises(ParseError, match="bad label"):
+            parse_code(text)
 
 
 def test_not_realizable():

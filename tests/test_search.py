@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from splicecap import (
+    CurveMap,
     InvalidMove,
     InvariantViolation,
     MultiComponentError,
@@ -50,6 +51,9 @@ def test_u_minus_trefoil(trefoil):
     assert value == 1
     assert witness.steps == ("S- 1", "RI- 2", "RI- 3")
     assert witness.s_count == 1 and witness.ri_count == 2
+    # a name of non-ASCII digits sorts as text, after the numeric names
+    value, witness = u_minus(CurveMap(trefoil.opp, ("²", "1", "2")))
+    assert (value, witness.steps) == (1, ("S- 1", "RI- 2", "RI- ²"))
 
 
 def test_u_minus_table_anchors(table_maps):

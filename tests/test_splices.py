@@ -9,6 +9,7 @@ from splicecap import (
     SmoothingChoice,
     SpliceCapError,
     SpliceKind,
+    State,
     apply_state,
     bundled_table_path,
     classify_splice,
@@ -124,6 +125,12 @@ def test_apply_state_mismatch(trefoil, kink):
         apply_state(trefoil, st)
     with pytest.raises(InvalidMove):
         make_state(trefoil, {"1": ORIENTED})
+
+
+def test_state_rejects_bad_pairings(trefoil):
+    for pairings in ((2, 7, -1), (0, 1, 2), (0, -1, 1)):
+        with pytest.raises(InvalidMove, match="0 or 1"):
+            State(trefoil, pairings)
 
 
 def test_apply_state_order_independence(table):
@@ -253,6 +260,10 @@ def test_s_plus_requires_common_face(trefoil):
             insert(trefoil, ("1", 0), ("1", 0))
         with pytest.raises(DegenerateOnO):
             insert(O_MAP, ("1", 0), ("1", 1))
+        # a band between two curves would join them, which no move does
+        link = smooth(trefoil, "1", ORIENTED)
+        with pytest.raises(InvalidMove, match="different curves"):
+            insert(link, ("2", 0), ("3", 3))
 
 
 def test_s_plus_recovers_trefoil(double_kink, trefoil):

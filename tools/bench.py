@@ -21,8 +21,12 @@ times per side, alternating which side runs first, each in a fresh
 interpreter (so the descent memo starts cold) under a 120 s timeout: cold
 ``u_minus`` on ``Pretzel(5,5,5)``, on ``7_4 # 7_4 # 7_4`` and on
 ``gen_torus(300)``, ``crosscap_alt`` on ``gen_torus(600)``, the
-canonical key (its length is the value) of a fresh ``gen_torus(600)`` and
-of the two-curve oriented smoothing of ``gen_torus(32)``, acceptance
+canonical key (its length is the value) of a fresh ``gen_torus(600)``, of
+the two-curve oriented smoothing of ``gen_torus(32)``, of the split link of
+two ``gen_torus(300)`` (built from both words with prefixed labels; the
+one key path with several graph components) and of fresh ``gen_torus(8)``,
+``(16)`` and ``(32)`` (``perfbench/reanchor.py``'s key sizes), cold
+``u_minus`` on ``Pretzel(4,4,4)`` (as in ``reanchor.py``), acceptance
 criterion 8's ``u_upper`` call on ``7_4 # 7_4`` (``sum_74.gauss``),
 ``u_upper`` on it with the default budget, ``u_upper`` with the default
 budget on the first 20 records of
@@ -80,6 +84,17 @@ PROBES = {
         "m = sc.smooth(t, t.names[0], sc.SmoothingChoice.ORIENTED)",
         "len(m.canonical_key)",
     ),
+    "canonical_key split link of two gen_torus(300)": (
+        "w = sc.extract_code(sc.gen_torus(300)).components[0]\n"
+        "m = sc.build_map(sc.SignedGaussCode("
+        "tuple(tuple((p + l, s) for l, s in w) for p in 'ab')))",
+        "len(m.canonical_key)",
+    ),
+    **{
+        f"canonical_key gen_torus({l})": (f"m = sc.gen_torus({l})", "len(m.canonical_key)")
+        for l in (8, 16, 32)
+    },
+    "u_minus Pretzel(4,4,4)": ("m = sc.gen_pretzel(4, 4, 4)", "sc.u_minus(m)[0]"),
     "u_upper 7_4#7_4 (criterion 8)": (
         "m = sc.ingest_table(sc.bundled_witness_path().parent / 'sum_74.gauss')[0].map",
         "sc.u_upper(m, sc.SearchBudget(max_crossings=18, max_cost=5, max_nodes=1500))"
