@@ -236,12 +236,15 @@ def connected_sum(
     default, the arc following the first visit to the lowest-labeled
     crossing.  Realized as word concatenation at the basepoints, crossings
     relabeled ``1..n1+n2``.  A simple closed curve summand leaves the other
-    factor, rebuilt from its code.
+    factor, rebuilt from its code; a named dart must still exist.
     """
     for p in (p1, p2):
         if components(p) != 1:
             raise MultiComponentError("connected sum needs knot projections")
     if p1.n == 0 or p2.n == 0:
+        for p, dart in ((p1, dart1), (p2, dart2)):
+            if dart is not None:
+                p.dart(*dart)
         return build_map(extract_code(p1 if p2.n == 0 else p2))
     relabeled: list[tuple[str, int]] = []
     mapping: dict[tuple[int, str], str] = {}

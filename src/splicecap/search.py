@@ -85,8 +85,8 @@ class Witness:
     """An ordered splice/insertion script certifying an unknotting count.
 
     Step grammar, one step per entry:
-    ``S- <label>`` | ``RI- <label>`` | ``Seifert <label>`` |
-    ``RI+ <locator> <L|R>`` | ``S+ <locator> <locator>`` |
+    ``S- <label>`` | ``RI- <label>`` | ``RI+ <locator> <L|R>`` |
+    ``S+ <locator> <locator>`` |
     ``TWIST <locator> <locator> <i> <A|B>`` where a locator is
     ``<label>.<slot>`` or ``O`` for a bare circle.
     """
@@ -104,11 +104,12 @@ class Witness:
 
 
 # witness op -> number of arguments after the op name
-_STEP_ARITY = {"S-": 1, "RI-": 1, "Seifert": 1, "RI+": 2, "S+": 2, "TWIST": 4}
+_STEP_ARITY = {"S-": 1, "RI-": 1, "RI+": 2, "S+": 2, "TWIST": 4}
 
 
-def _parse_step(line: str) -> tuple[str, list[str]]:
-    """Split a witness step into its op and arguments, checking the grammar."""
+def _parse_step(line: str) -> tuple[str, list]:
+    """Split a witness step into its op and arguments, checking the grammar;
+    dart locators come back parsed, as :func:`_parse_locator` gives them."""
     parts = line.split()
     if not parts:
         raise ParseError("empty witness step")
@@ -117,8 +118,11 @@ def _parse_step(line: str) -> tuple[str, list[str]]:
         raise ParseError(f"unknown witness op {op!r}")
     if len(args) != _STEP_ARITY[op]:
         raise ParseError(f"malformed step {line!r}")
-    if op == "TWIST" and (not args[2].isdecimal() or int(args[2]) < 1):
+    if op == "TWIST" and not (args[2].isascii() and args[2].isdigit() and int(args[2])):
         raise ParseError(f"bad twist crossing count in {line!r}")
+    if op in ("RI+", "S+", "TWIST"):
+        k = 1 if op == "RI+" else 2
+        args[:k] = map(_parse_locator, args[:k])
     return op, args
 
 
@@ -128,9 +132,7 @@ def _step_counts(line: str) -> tuple[int, int]:
         return 1, 0
     if op in ("RI-", "RI+"):
         return 0, 1
-    if op == "TWIST":
-        return 1, int(args[2]) - 1
-    return 0, 0
+    return 1, int(args[2]) - 1
 
 
 def _parse_locator(tok: str) -> tuple[str, int] | None:
@@ -139,7 +141,7 @@ def _parse_locator(tok: str) -> tuple[str, int] | None:
     if "." not in tok:
         raise ParseError(f"bad dart locator {tok!r} (want label.slot or O)")
     label, slot = tok.rsplit(".", 1)
-    if not slot.isdigit() or not (0 <= int(slot) <= 3):
+    if not (slot.isascii() and slot.isdigit() and int(slot) <= 3):
         raise ParseError(f"bad slot in locator {tok!r}")
     return label, int(slot)
 
@@ -155,17 +157,13 @@ def apply_step(m: CurveMap, line: str) -> CurveMap:
                 f"step claims {op} at {args[0]} but the splice is {kind.value}"
             )
         return smooth(m, args[0], SmoothingChoice.DISORIENTED)
-    if op == "Seifert":
-        return smooth(m, args[0], SmoothingChoice.ORIENTED)
     if op == "RI+":
-        return ri_plus(m, _parse_locator(args[0]), args[1])
-    d1, d2 = _parse_locator(args[0]), _parse_locator(args[1])
-    if op == "S+":
-        if d1 is None or d2 is None:
-            raise InvalidMove("band insertion needs two crossing darts")
-        return s_plus(m, d1, d2)
+        return ri_plus(m, *args)
+    d1, d2 = args[:2]
     if d1 is None or d2 is None:
-        raise InvalidMove("twist region needs two crossing darts")
+        raise InvalidMove(f"{op} needs two crossing darts")
+    if op == "S+":
+        return s_plus(m, d1, d2)
     return twist_move(m, d1, d2, int(args[2]), args[3])
 
 

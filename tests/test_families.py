@@ -118,6 +118,14 @@ def test_sum_with_circle_is_identity(trefoil):
     assert equivalent(connected_sum(O_MAP, None, trefoil, None), trefoil)
 
 
+def test_sum_with_circle_checks_named_darts(trefoil):
+    """A named basepoint must exist, also beside a crossingless summand."""
+    for args in ((O_MAP, ("1", 0), trefoil, None), (O_MAP, None, trefoil, ("9", 0))):
+        with pytest.raises(InvalidMove, match="unknown crossing"):
+            connected_sum(*args)
+    assert equivalent(connected_sum(O_MAP, None, trefoil, ("1", 0)), trefoil)
+
+
 def test_sum_multi_component_rejected(trefoil):
     with pytest.raises(MultiComponentError):
         connected_sum(

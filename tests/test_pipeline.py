@@ -411,17 +411,17 @@ def test_cli_verify_witness_bare_base(record_file, tmp_path):
 
 
 def test_cli_verify_witness_band_across_curves(tmp_path):
-    """A band joining the two curves of a Seifert smoothing is an invalid
-    step (exit 1), not an internal error (exit 2)."""
+    """No witness step leaves one curve: the oriented smoothings that would
+    cut the trefoil in two and join it again for free are no witness op,
+    so the script fails at its first step (exit 1)."""
     record = tmp_path / "t.gauss"
     record.write_text("t: 1+ 2+ 3+ 1+ 2+ 3+\n")
-    for band in ("S+ 2.0 3.3", "TWIST 2.0 3.3 1 A"):
-        script = tmp_path / "band.txt"
-        script.write_text(f"Seifert 1\n{band}\n")
-        res = run_cli("verify-witness", f"{record}:t", str(script))
-        assert res.returncode == 1, res.stderr
-        assert "t: valid=false" in res.stdout
-        assert "failed at step 1: darts lie on different curves" in res.stdout
+    script = tmp_path / "seifert.txt"
+    script.write_text("Seifert 1\nSeifert 2\nRI- 3\n")
+    res = run_cli("verify-witness", f"{record}:t", str(script))
+    assert res.returncode == 1, res.stderr
+    assert "t: valid=false s_count=0 ri_count=0" in res.stdout
+    assert "failed at step 0: unknown witness op 'Seifert'" in res.stdout
 
 
 def test_cli_u_upper_zero_caps(record_file):

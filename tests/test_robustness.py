@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from splicecap import (
+    ParseError,
     SearchBudget,
     SearchStatus,
     SmoothingChoice,
@@ -137,16 +138,19 @@ def test_multi_circuit_equivalence(trefoil, table_maps):
 
 
 def test_replay_with_seifert_steps(trefoil):
-    """Replay supports oriented splices through multi-component
-    intermediates: splitting, merging at a shared crossing, splitting
-    again."""
-    mid = replay(trefoil, ("Seifert 1",))
+    """Oriented splices run through multi-component intermediates:
+    splitting, merging at a shared crossing, splitting again.  They belong
+    to neither count, so a witness cannot hold one."""
+    oriented = SmoothingChoice.ORIENTED
+    mid = smooth(trefoil, "1", oriented)
     assert components(mid) == 2
-    merged = replay(mid, ("Seifert 2",))
+    merged = smooth(mid, "2", oriented)
     assert components(merged) == 1
-    done = replay(merged, ("Seifert 3",))
+    done = smooth(merged, "3", oriented)
     assert done.n == 0
     assert done.free_circles == components(done) == 2
+    with pytest.raises(ParseError, match="unknown witness op 'Seifert'"):
+        replay(trefoil, ("Seifert 1",))
 
 
 def test_witness_counts_for_twist_steps(trefoil):

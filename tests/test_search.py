@@ -14,6 +14,7 @@ from splicecap import (
     SignedGaussCode,
     SmoothingChoice,
     SpliceKind,
+    VerifyResult,
     Witness,
     build_map,
     connected_sum,
@@ -223,12 +224,15 @@ def test_verify_witness_rejects_bad_twist_count(trefoil):
         ("FOO 1", "unknown witness op 'FOO'"),
         ("S-", "malformed step 'S-'"),
         ("RI- 1 2", "malformed step 'RI- 1 2'"),
-        ("Seifert", "malformed step 'Seifert'"),
+        ("Seifert 1", "unknown witness op 'Seifert'"),
         ("RI+ 1.0", "malformed step 'RI+ 1.0'"),
         ("S+ 1.0 2.1 3", "malformed step 'S+ 1.0 2.1 3'"),
         ("TWIST 1.0 2.1 1", "malformed step 'TWIST 1.0 2.1 1'"),
         ("TWIST 1.0 2.1 0 A", "bad twist crossing count in 'TWIST 1.0 2.1 0 A'"),
         ("TWIST 1.0 2.1 x A", "bad twist crossing count in 'TWIST 1.0 2.1 x A'"),
+        ("TWIST 1.0 2.1 ١ A", "bad twist crossing count in 'TWIST 1.0 2.1 ١ A'"),
+        ("S+ 1.² 2.1", "bad slot in locator '1.²'"),
+        ("RI+ 1.³ L", "bad slot in locator '1.³'"),
     ],
 )
 def test_witness_step_grammar(trefoil, step, error):
@@ -241,6 +245,43 @@ def test_witness_step_grammar(trefoil, step, error):
     assert (result.s_count, result.ri_count) == (0, 1)
     with pytest.raises(ParseError, match=re.escape(error)):
         w.s_count
+
+
+def test_verify_witness_rejects_seifert_steps(trefoil):
+    """An oriented splice belongs to neither count, so no witness holds one:
+    this script cut the trefoil in two and joined it again for 0 bands."""
+    w = Witness(trefoil.canonical_key, ("Seifert 1", "Seifert 2", "RI- 3"))
+    result = verify_witness(trefoil, w)
+    assert not result.valid and result.failed_at == 0
+    assert result.error == "unknown witness op 'Seifert'"
+    assert (result.s_count, result.ri_count) == (0, 0)
+
+
+def test_verify_witness_fuzz(table_maps):
+    """Seeded junk scripts: replay always answers with a ``VerifyResult``,
+    and a valid one ends at the simple closed curve with at least the bands
+    the class theorem asks for."""
+    from splicecap.search import _STEP_ARITY
+
+    ops = [*_STEP_ARITY, "Seifert", "FOO"]
+    tokens = "1 2 3 9 1.0 2.3 3.1 O 1.² ² ١ 1.00 L R A B 0 2".split()
+    rng = Random(19)
+    valid = 0
+    for name in ("1_1", "3_1", "4_1"):
+        m = table_maps[name]
+        need = min(u_minus(m)[0], 3)
+        for _ in range(1500):
+            steps = []
+            for _ in range(rng.randint(1, 4)):
+                op = rng.choice(ops)
+                arity = _STEP_ARITY.get(op, 1) if rng.random() < 0.9 else rng.randrange(5)
+                steps.append(" ".join([op, *rng.choices(tokens, k=arity)]))
+            result = verify_witness(m, Witness(m.canonical_key, tuple(steps)))
+            assert type(result) is VerifyResult, steps
+            if result.valid:
+                valid += 1
+                assert result.endpoint == O_KEY and result.s_count >= need, steps
+    assert valid
 
 
 def test_verify_witness_propagates_internal_errors(trefoil, monkeypatch):

@@ -20,8 +20,9 @@ It also times scale probes that the 50 s workloads cannot reach, three
 times per side, alternating which side runs first, each in a fresh
 interpreter (so the descent memo starts cold) under a 120 s timeout: cold
 ``u_minus`` on ``Pretzel(5,5,5)``, on ``7_4 # 7_4 # 7_4`` and on
-``gen_torus(300)``, ``crosscap_alt`` on ``gen_torus(600)``, the
-canonical key (its length is the value) of a fresh ``gen_torus(600)``, of
+``gen_torus(300)``, ``crosscap_alt`` and ``decompose_prime`` (the prime
+check that every CLI command runs on every record) on ``gen_torus(600)``,
+the canonical key (its length is the value) of a fresh ``gen_torus(600)``, of
 the two-curve oriented smoothing of ``gen_torus(32)``, of the split link of
 two ``gen_torus(300)`` (built from both words with prefixed labels; the
 one key path with several graph components) and of fresh ``gen_torus(8)``,
@@ -78,6 +79,7 @@ PROBES = {
     ),
     "u_minus gen_torus(300)": ("m = sc.gen_torus(300)", "sc.u_minus(m)[0]"),
     "crosscap_alt gen_torus(600)": ("m = sc.gen_torus(600)", "sc.crosscap_alt(m)"),
+    "decompose_prime gen_torus(600)": ("m = sc.gen_torus(600)", "len(sc.decompose_prime(m))"),
     "canonical_key gen_torus(600)": ("m = sc.gen_torus(600)", "len(m.canonical_key)"),
     "canonical_key oriented smoothing of gen_torus(32)": (
         "t = sc.gen_torus(32)\n"
