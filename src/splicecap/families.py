@@ -236,7 +236,7 @@ def connected_sum(
     default, the arc following the first visit to the lowest-labeled
     crossing.  Realized as word concatenation at the basepoints, crossings
     relabeled ``1..n1+n2``.  A simple closed curve summand leaves the other
-    factor, rebuilt from its code; a named dart must still exist.
+    factor, rebuilt from its code; a named dart must exist there too.
     """
     for p in (p1, p2):
         if components(p) != 1:
