@@ -12,7 +12,10 @@ descent of ``P - c`` whose kink removals are still kink removals.  So the
 count is computed on ``reduce_ri(P)``, by a memoized descent over kink-free
 canonical forms in which every step is a band splice.  Each class is one
 closed curve, so the descent runs on traversal tokens, whose least
-rotation is the canonical key, and builds no map.  ``u_upper``
+rotation is the canonical key, and builds no map.  The two crossings of a
+bigon face splice to the same class, so the descent skips a crossing that
+shares a bigon face with a crossing visited before it; the first crossing
+of each twist region stays.  ``u_upper``
 bounds the two-way count, which also allows the inverse insertions, by
 ``k`` band insertions followed by an exact descent, and skips every class
 whose crosscap number already rules it out (crosscap <= ``u_minus``).  Its
@@ -226,11 +229,30 @@ def enumerate_descents(m: CurveMap) -> list[tuple[str, SpliceKind, bytes]]:
 _UMINUS_MEMO: dict[bytes, int] = {O_KEY: 0}
 
 
+def _bigons(tokens: list[int]):
+    """Yield the visits ``(i, i + 1)`` (cyclic) of two crossings that bound
+    a bigon face, on the one curve whose traversal tokens are ``tokens``.
+
+    The other visits of the two crossings are consecutive too, so their
+    distances are equal (the strands run parallel) or the second is two
+    less (antiparallel), and the sense bits differ.  A kink (distance 1)
+    is one crossing, not two."""
+    total = len(tokens)
+    for i, t in enumerate(tokens):
+        j = (i + 1) % total
+        d, e = t >> 1, tokens[j] >> 1
+        if d != 1 and (t ^ tokens[j]) & 1 and (e - d) % total in (0, total - 2):
+            yield i, j
+
+
 def _token_children(tokens: list[int]):
-    """Yield ``(p, child)`` for each crossing of the one-curve map
-    whose traversal tokens are ``tokens``: ``p`` is the crossing's first
-    visit, and ``child`` holds the tokens of ``reduce_ri`` of its
-    disoriented splice.
+    """Yield ``(p, child)`` for the crossings of the one-curve map whose
+    traversal tokens are ``tokens``: ``p`` is the crossing's first visit,
+    and ``child`` holds the tokens of ``reduce_ri`` of its disoriented
+    splice.  A crossing that bounds a bigon face (:func:`_bigons`) with a
+    crossing whose first visit comes earlier is skipped, since both give
+    the same child class (README "Design notes").  The least crossing of
+    each twist region is never skipped, so every child class is yielded.
 
     The splice at the visits ``p < q`` turns the word ``c A c B`` into
     ``A B'``, with ``B'`` the reverse of ``B``, and the kinks it leaves are
@@ -245,8 +267,9 @@ def _token_children(tokens: list[int]):
     partner = [(i + (t >> 1)) % total for i, t in enumerate(tokens)]
     # a crossing is named by its first visit
     first = [min(i, j) for i, j in enumerate(partner)]
+    later = {max(first[i], first[j]) for i, j in _bigons(tokens)}
     for p, q in enumerate(partner):
-        if q < p:
+        if q < p or p in later:
             continue
         order = [*range(p + 1, q), *range(p - 1, -1, -1), *range(total - 1, q, -1)]
         gone = set(_kinks([first[i] for i in order]))

@@ -27,7 +27,9 @@ the two-curve oriented smoothing of ``gen_torus(32)``, of the split link of
 two ``gen_torus(300)`` (built from both words with prefixed labels; the
 one key path with several graph components) and of fresh ``gen_torus(8)``,
 ``(16)`` and ``(32)`` (``perfbench/reanchor.py``'s key sizes), cold
-``u_minus`` on ``Pretzel(4,4,4)`` (as in ``reanchor.py``), acceptance
+``u_minus`` on ``Pretzel(4,4,4)`` (as in ``reanchor.py``), on
+``Pretzel(6,6,6)`` and on ``Torus(5) # Pretzel(3,3,3)`` (long twist
+regions, where the descent splices one crossing per region), acceptance
 criterion 8's ``u_upper`` call on ``7_4 # 7_4`` (``sum_74.gauss``),
 ``u_upper`` on it with the default budget, ``u_upper`` with the default
 budget on the first 20 records of
@@ -97,6 +99,11 @@ PROBES = {
         for l in (8, 16, 32)
     },
     "u_minus Pretzel(4,4,4)": ("m = sc.gen_pretzel(4, 4, 4)", "sc.u_minus(m)[0]"),
+    "u_minus Pretzel(6,6,6)": ("m = sc.gen_pretzel(6, 6, 6)", "sc.u_minus(m)[0]"),
+    "u_minus Torus(5)#Pretzel(3,3,3)": (
+        "m = sc.connected_sum(sc.gen_torus(5), None, sc.gen_pretzel(3, 3, 3), None)",
+        "sc.u_minus(m)[0]",
+    ),
     "u_upper 7_4#7_4 (criterion 8)": (
         "m = sc.ingest_table(sc.bundled_witness_path().parent / 'sum_74.gauss')[0].map",
         "sc.u_upper(m, sc.SearchBudget(max_crossings=18, max_cost=5, max_nodes=1500))"
