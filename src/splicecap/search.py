@@ -12,10 +12,10 @@ descent of ``P - c`` whose kink removals are still kink removals.  So the
 count is computed on ``reduce_ri(P)``, by a memoized descent over kink-free
 canonical forms in which every step is a band splice.  Each class is one
 closed curve, so the descent runs on traversal tokens, whose least
-rotation is the canonical key, and builds no map.  The two crossings of a
-bigon face splice to the same class, so the descent skips a crossing that
-shares a bigon face with a crossing visited before it; the first crossing
-of each twist region stays.  ``u_upper``
+rotation is the canonical key, and builds no map; so does the witness
+walk.  The two crossings of a bigon face splice to the same class, and so
+do two crossings that a symmetry of the curve swaps, so the descent skips
+a crossing when such a partner is visited before it.  ``u_upper``
 bounds the two-way count, which also allows the inverse insertions, by
 ``k`` band insertions followed by an exact descent, and skips every class
 whose crosscap number already rules it out (crosscap <= ``u_minus``).  Its
@@ -34,7 +34,7 @@ from .curvemap import (
     CurveMap,
     O_KEY,
     _curve_tokens,
-    _token_key,
+    _token_class,
     components,
     label_sort_key,
 )
@@ -53,7 +53,6 @@ from .splices import (
     _kinks,
     classify_splice,
     pairing_for,
-    reduce_ri,
     ri_plus,
     s_plus,
     smooth,
@@ -211,22 +210,26 @@ def verify_witness(p: CurveMap, w: Witness) -> VerifyResult:
 # Descent search (exact)
 
 
-def _descents(m: CurveMap):
-    """Lazily yield ``(label, kind, successor)`` for every one-crossing
-    descent in natural label order, ``kind`` as ``classify_splice`` gives it."""
-    for name in sorted(m.names, key=label_sort_key):
-        kind = classify_splice(m, name, SmoothingChoice.DISORIENTED)
-        yield name, kind, smooth(m, name, SmoothingChoice.DISORIENTED)
-
-
 def enumerate_descents(m: CurveMap) -> list[tuple[str, SpliceKind, bytes]]:
     """All one-crossing descents with classification, in label order."""
     if components(m) != 1:
         raise MultiComponentError("descents are defined on knot projections")
-    return [(name, kind, child.canonical_key) for name, kind, child in _descents(m)]
+    dis = SmoothingChoice.DISORIENTED
+    return [
+        (name, classify_splice(m, name, dis), smooth(m, name, dis).canonical_key)
+        for name in sorted(m.names, key=label_sort_key)
+    ]
 
 
 _UMINUS_MEMO: dict[bytes, int] = {O_KEY: 0}
+
+
+def _visits(tokens: list[int]) -> tuple[list[int], list[int]]:
+    """The other visit of each visit's crossing, and the crossing's first
+    visit, which names it."""
+    total = len(tokens)
+    partner = [(i + (t >> 1)) % total for i, t in enumerate(tokens)]
+    return partner, [i if i < j else j for i, j in enumerate(partner)]
 
 
 def _bigons(tokens: list[int]):
@@ -245,71 +248,132 @@ def _bigons(tokens: list[int]):
             yield i, j
 
 
-def _token_children(tokens: list[int]):
-    """Yield ``(p, child)`` for the crossings of the one-curve map whose
+def _splice(first: list[int], p: int, q: int, joins: bool) -> tuple[list[int], int]:
+    """The visits, in turn, of the curve that the disoriented splice at the
+    visits ``p < q`` leaves, and how many of them come from ``A``: the word
+    ``c A c B`` becomes ``A B'``, with ``B'`` the reverse of ``B``.
+    ``first`` names each visit's crossing by its first visit.  The visits
+    of ``B'`` are given below zero where they wrap, so that ``A`` and
+    ``B'`` are two ranges.
+
+    With ``joins``, the kinks of ``A B'`` are cancelled too, as
+    :func:`_kinks` would cancel them, provided the curve has no kink: then
+    equal letters can meet only where ``A``'s end meets ``B'``'s start and
+    ``B'``'s end meets ``A``'s start, and they cancel outward from there;
+    once one segment is gone whole, the other's two ends meet."""
+    a, b = p + 1, q - 1  # A is the visits a, ..., b
+    c, d = p - 1, q + 1 - len(first)  # B' is the visits c, c - 1, ..., d
+    if joins:
+        while a <= b and c >= d and first[b] == first[c]:
+            b -= 1
+            c -= 1
+        while a <= b and c >= d and first[d] == first[a]:
+            a += 1
+            d += 1
+        if a > b:
+            while c > d and first[c] == first[d]:
+                c -= 1
+                d += 1
+        elif c < d:
+            while a < b and first[a] == first[b]:
+                a += 1
+                b -= 1
+    return [*range(a, b + 1), *range(c, d - 1, -1)], b + 1 - a
+
+
+def _word_tokens(
+    tokens: list[int], partner: list[int], order: list[int], kept: int
+) -> list[int]:
+    """The traversal tokens of the curve that runs through the visits
+    ``order`` of the curve with tokens ``tokens``, in turn, where ``order``
+    holds both visits of each of its crossings, and the strand of all but
+    its first ``kept`` visits runs reversed.
+
+    Distances are read off the new positions.  A visit's bit says on which
+    side the other visit of its crossing leaves.  Reversing a strand moves
+    its exit slot by two, which flips the bits of a crossing with one visit
+    on each strand; a crossing with both visits on one strand keeps its
+    bits.  Removing a kink moves no other exit slot."""
+    size = len(order)
+    at = [0] * len(tokens)
+    for k, i in enumerate(order):
+        at[i] = k
+    out = []
+    for k, i in enumerate(order):
+        a = at[partner[i]]
+        out.append(
+            (((a - k) % size) << 1) | ((tokens[i] & 1) ^ ((k < kept) != (a < kept)))
+        )
+    return out
+
+
+def _kink_free(tokens: list[int]) -> list[int]:
+    """The tokens of ``reduce_ri`` of the curve with tokens ``tokens``: the
+    crossings :func:`_kinks` cancels from its word are removed."""
+    partner, first = _visits(tokens)
+    gone = set(_kinks(first))
+    if not gone:
+        return tokens
+    order = [i for i, f in enumerate(first) if f not in gone]
+    return _word_tokens(tokens, partner, order, len(order))
+
+
+def _token_children(tokens: list[int], walks: list[int]):
+    """Yield ``(p, child)`` for the crossings of the kink-free curve whose
     traversal tokens are ``tokens``: ``p`` is the crossing's first visit,
     and ``child`` holds the tokens of ``reduce_ri`` of its disoriented
-    splice.  A crossing that bounds a bigon face (:func:`_bigons`) with a
-    crossing whose first visit comes earlier is skipped, since both give
-    the same child class (README "Design notes").  The least crossing of
-    each twist region is never skipped, so every child class is yielded.
+    splice (:func:`_splice` with the joins cancelled).  ``walks`` are the
+    walks that read the least rotation of ``tokens``
+    (:func:`curvemap._least_rotation`).
 
-    The splice at the visits ``p < q`` turns the word ``c A c B`` into
-    ``A B'``, with ``B'`` the reverse of ``B``, and the kinks it leaves are
-    the crossings :func:`_kinks` cancels from that word.  Distances are
-    read off the new positions.  A visit's bit says on which side the other
-    visit of its crossing leaves.  Reversing one strand moves its exit slot
-    by two, which flips the bits of a crossing with one visit in ``A`` and
-    one in ``B``; a crossing with both visits in ``A``, or both in ``B``,
-    keeps its bits.
+    A crossing is skipped when another one with an earlier first visit is
+    known to give the same child class: one that bounds a bigon face with
+    it (:func:`_bigons`), or its image under a symmetry of the curve, which
+    two walks give (README "Design notes").  From a skipped crossing such
+    steps lower the first visit each time, so they end at a crossing that
+    is yielded, and every child class is yielded.
     """
     total = len(tokens)
-    partner = [(i + (t >> 1)) % total for i, t in enumerate(tokens)]
-    # a crossing is named by its first visit
-    first = [min(i, j) for i, j in enumerate(partner)]
-    later = {max(first[i], first[j]) for i, j in _bigons(tokens)}
+    partner, first = _visits(tokens)
+    skip = {max(first[i], first[j]) for i, j in _bigons(tokens)}
+    if len(walks) > 1:
+        # a symmetry maps the visit one walk reads at position k to the
+        # visit another walk reads there
+        w0, *others = walks
+        for p, q in enumerate(partner):
+            k = p - w0 if w0 >= 0 else ~w0 - p
+            if p < q and any(
+                first[(w + k if w >= 0 else ~w - k) % total] < p for w in others
+            ):
+                skip.add(p)
     for p, q in enumerate(partner):
-        if q < p or p in later:
-            continue
-        order = [*range(p + 1, q), *range(p - 1, -1, -1), *range(total - 1, q, -1)]
-        gone = set(_kinks([first[i] for i in order]))
-        if gone:
-            order = [i for i in order if first[i] not in gone]
-        size = len(order)
-        at = [0] * total
-        for k, i in enumerate(order):
-            at[i] = k
-        child = []
-        for k, i in enumerate(order):
-            j = partner[i]
-            split = (p < i < q) != (p < j < q)
-            child.append((((at[j] - k) % size) << 1) | ((tokens[i] & 1) ^ split))
-        yield p, child
+        if p < q and p not in skip:
+            yield p, _word_tokens(tokens, partner, *_splice(first, p, q, True))
 
 
-def _u_minus_value(m: CurveMap) -> int:
-    """``u_minus`` of ``m`` by a depth-first worklist over the kink-free
-    classes below ``reduce_ri(m)`` (module docstring): every step of a
-    kink-free map is a band splice, so a class is one more than its least
-    child.  A class is held as the traversal tokens of one of its maps, and
-    its children come from those tokens (:func:`_token_children`)."""
+def _u_minus_value(tokens: list[int]) -> int:
+    """``u_minus`` of the kink-free curve with traversal tokens ``tokens``,
+    by a depth-first worklist over the kink-free classes below it (module
+    docstring): every step of a kink-free map is a band splice, so a class
+    is one more than its least child.  A class is held as the tokens of one
+    of its maps and the walks that read its key, and its children come from
+    those tokens (:func:`_token_children`)."""
     memo = _UMINUS_MEMO
-    root = reduce_ri(m)
-    stack: list[tuple[bytes, list[int], list[bytes] | None]] = []
-    if root.canonical_key not in memo:
-        tokens = _curve_tokens(root.curve_components[0])
-        stack.append((root.canonical_key, tokens, None))
+    root, walks = _token_class(tokens)
+    stack = [] if root in memo else [(root, tokens, walks, None)]
     while stack:
-        key, tokens, children = stack.pop()
+        key, tokens, walks, children = stack.pop()
         if children is not None:
             memo[key] = 1 + min(memo[c] for c in children)
         elif key not in memo:
             kids = {}
-            for _, child in _token_children(tokens):
-                kids.setdefault(_token_key(child), child)
-            stack.append((key, tokens, list(kids)))
-            stack.extend((k, t, None) for k, t in kids.items() if k not in memo)
-    return memo[root.canonical_key]
+            for _, child in _token_children(tokens, walks):
+                child_key, child_walks = _token_class(child)
+                if child_key not in kids:
+                    kids[child_key] = child, child_walks
+            stack.append((key, tokens, walks, list(kids)))
+            stack.extend((k, *kid, None) for k, kid in kids.items() if k not in memo)
+    return memo[root]
 
 
 def u_minus(m: CurveMap) -> tuple[int, Witness]:
@@ -317,26 +381,39 @@ def u_minus(m: CurveMap) -> tuple[int, Witness]:
     simple closed curve, with a replayable witness.
 
     Among minimum-cost descents the witness picks, at every step, the
-    smallest crossing label (natural order) that stays optimal.
+    smallest crossing label (natural order) that stays optimal.  The walk
+    runs on the traversal tokens of ``m`` with the label of each visit: a
+    crossing whose two visits are adjacent is a kink, removed at no cost,
+    and any other crossing is an ``S-`` step when one plus the value of
+    its kink-free child is the count left.  A step's child takes its
+    labels in the order of the splice's visits.
     """
     if components(m) != 1:
         raise MultiComponentError("unknotting counts need a knot projection")
-    value = _u_minus_value(m)
+    orbit = m.curve_components[0] if m.n else ()
+    tokens = _curve_tokens(orbit)
+    labels = [m.names[d >> 2] for d in orbit]
+    value = remaining = _u_minus_value(_kink_free(tokens))
     steps: list[str] = []
-    cur = m
-    remaining = value
-    while cur.n:
-        for name, kind, child in _descents(cur):
-            cost = kind is SpliceKind.S_MINUS
-            if cost + _u_minus_value(child) == remaining:
+    while tokens:
+        total = len(tokens)
+        partner, first = _visits(tokens)
+        crossings = [p for p, q in enumerate(partner) if p < q]
+        for p in sorted(crossings, key=lambda p: label_sort_key(labels[p])):
+            q = partner[p]
+            order, kept = _splice(first, p, q, False)
+            child = _word_tokens(tokens, partner, order, kept)
+            if q - p in (1, total - 1):
+                kind = SpliceKind.RI_MINUS
+                break
+            if 1 + _u_minus_value(_kink_free(child)) == remaining:
+                kind = SpliceKind.S_MINUS
+                remaining -= 1
                 break
         else:
             raise InvariantViolation("optimal descent step must exist")
-        cur = child
-        steps.append(sys.intern(f"{kind.value} {name}"))
-        remaining -= cost
-    if cur.canonical_key != O_KEY:
-        raise InvariantViolation("descent witness does not end at O")
+        steps.append(sys.intern(f"{kind.value} {labels[p]}"))
+        tokens, labels = child, [labels[i] for i in order]
     return value, Witness(m.canonical_key, tuple(steps))
 
 

@@ -10,18 +10,38 @@ from splicecap import (
     CurveMap,
     O_KEY,
     SmoothingChoice,
+    SpliceKind,
+    Witness,
     bundled_table_path,
+    classify_splice,
     connected_sum,
+    gen_pretzel,
+    gen_torus,
     ingest_table,
     reduce_ri,
     ri_plus,
     smooth,
     twist_move,
+    u_minus,
 )
-from splicecap import surfaces
-from splicecap.curvemap import _curve_tokens, _token_key
-from splicecap.search import _band_insertions, _bigons, _token_children
-from splicecap.splices import _smooth_pairings
+from splicecap import search, splices, surfaces
+from splicecap.curvemap import (
+    _curve_tokens,
+    _least_rotation,
+    _token_key,
+    label_sort_key,
+)
+from splicecap.search import (
+    _band_insertions,
+    _bigons,
+    _kink_free,
+    _splice,
+    _token_children,
+    _u_minus_value,
+    _visits,
+    _word_tokens,
+)
+from splicecap.splices import _kinks, _smooth_pairings
 from conftest import family_members
 
 DISORIENTED = SmoothingChoice.DISORIENTED
@@ -145,20 +165,51 @@ def test_branching_maps_rebuild(knots, monkeypatch):
         assert_rebuilds(q)
 
 
+def _crossing_words(m):
+    """The crossing names along the one curve of ``m``, read from every
+    start in both directions."""
+    word = [m.names[d >> 2] for d in m.curve_components[0]]
+    out = set()
+    for w in (word, word[::-1]):
+        out.update(tuple(w[k:] + w[:k]) for k in range(len(w)))
+    return out
+
+
 def test_token_children_match_map_moves(knots, kink, descent_sums):
-    """The tokens of a one-curve map give its canonical key, and the token
-    child at each crossing it yields gives the key of splicing there and
-    then reducing.  The crossings it skips add no child class."""
+    """The tokens of a one-curve map give its canonical key.  On a kinked
+    map, the witness walk's splice at each crossing, without cancelling,
+    gives the key and the labels of ``smooth(m, c, DISORIENTED)``, and the
+    full kink pass then gives the key of ``reduce_ri`` of it.  On a
+    kink-free map, the token child at each crossing ``_token_children``
+    yields gives the key of splicing there and then reducing, and the
+    crossings it skips add no child class."""
     assert _token_key(_curve_tokens(kink.curve_components[0])) == kink.canonical_key
     assert _token_key([]) == O_KEY
     maps = knots + [m for _, m in family_members(17)] + descent_sums
-    children = 0
+    maps += [gen_pretzel(3, 3, 3), gen_torus(5)]
+    children = spliced = 0
     for m in maps:
         orbit = m.curve_components[0]
         tokens = _curve_tokens(orbit)
         assert _token_key(tokens) == m.canonical_key, m
+        every = {reduce_ri(smooth(m, c, DISORIENTED)).canonical_key for c in m.names}
+        if m.monogon_crossings:
+            labels = [m.names[d >> 2] for d in orbit]
+            partner, first = _visits(tokens)
+            for p, q in enumerate(partner):
+                if p < q:
+                    order, kept = _splice(first, p, q, False)
+                    child = _word_tokens(tokens, partner, order, kept)
+                    one_step = smooth(m, labels[p], DISORIENTED)
+                    assert _token_key(child) == one_step.canonical_key, (m, labels[p])
+                    if one_step.n:
+                        assert tuple(labels[i] for i in order) in _crossing_words(one_step)
+                    two_step = reduce_ri(one_step).canonical_key
+                    assert _token_key(_kink_free(child)) == two_step, (m, labels[p])
+                    spliced += 1
+            continue
         crossings, keys = [], set()
-        for p, child in _token_children(tokens):
+        for p, child in _token_children(tokens, _least_rotation(tokens)[1]):
             name = m.names[orbit[p] >> 2]
             crossings.append(name)
             two_step = reduce_ri(smooth(m, name, DISORIENTED))
@@ -166,9 +217,104 @@ def test_token_children_match_map_moves(knots, kink, descent_sums):
             keys.add(two_step.canonical_key)
             children += 1
         assert len(set(crossings)) == len(crossings)
-        every = {reduce_ri(smooth(m, c, DISORIENTED)).canonical_key for c in m.names}
         assert keys == every, m
-    assert children > 2000
+    assert children > 1000 and spliced > 1500
+
+
+def test_token_children_skip_symmetric_crossings(monkeypatch):
+    """A symmetry of the curve, read off the ties of the least rotation,
+    skips crossings on its own, and keeps every child class: checked with
+    the bigon rule switched off, on a pretzel and a torus projection."""
+    monkeypatch.setattr(search, "_bigons", lambda tokens: ())
+    for m in (gen_pretzel(3, 3, 3), gen_torus(5)):
+        tokens = _curve_tokens(m.curve_components[0])
+        walks = _least_rotation(tokens)[1]
+        assert len(walks) > 1
+        with_symmetry = list(_token_children(tokens, walks))
+        every = list(_token_children(tokens, walks[:1]))
+        assert len(with_symmetry) < len(every) == m.n
+        keys = {_token_key(child) for _, child in with_symmetry}
+        assert keys == {_token_key(child) for _, child in every}
+
+
+def test_join_cancellation_matches_kink_pass(kink_free_classes):
+    """On a kink-free curve, cancelling the splice's kinks outward from its
+    two joins leaves the same visits as the full kink pass over the whole
+    spliced word, and the same child tokens."""
+    splices = 0
+    for m in kink_free_classes:
+        tokens = _curve_tokens(m.curve_components[0])
+        partner, first = _visits(tokens)
+        for p, q in enumerate(partner):
+            if p < q:
+                joined, kept = _splice(first, p, q, True)
+                order, whole = _splice(first, p, q, False)
+                gone = set(_kinks([first[i] for i in order]))
+                assert joined == [i for i in order if first[i] not in gone], (m, p)
+                child = _word_tokens(tokens, partner, joined, kept)
+                unreduced = _word_tokens(tokens, partner, order, whole)
+                assert child == _kink_free(unreduced), (m, p)
+                splices += 1
+    assert splices > 4000
+
+
+def _map_walk_u_minus(m):
+    """``u_minus`` with the witness walk on maps: at every step, the least
+    crossing label whose disoriented splice stays optimal, with kinks at
+    cost 0 and the values of the children looked up through ``reduce_ri``
+    and the descent memo.  An oracle for the walk on traversal tokens."""
+    dis = SmoothingChoice.DISORIENTED
+
+    def value(q):
+        r = reduce_ri(q)
+        return _u_minus_value(_curve_tokens(r.curve_components[0]) if r.n else [])
+
+    total = remaining = value(m)
+    steps = []
+    cur = m
+    while cur.n:
+        for name in sorted(cur.names, key=label_sort_key):
+            kind = classify_splice(cur, name, dis)
+            child = smooth(cur, name, dis)
+            cost = kind is SpliceKind.S_MINUS
+            if cost + value(child) == remaining:
+                break
+        else:
+            raise AssertionError("no optimal step")
+        cur = child
+        steps.append(f"{kind.value} {name}")
+        remaining -= cost
+    assert cur.canonical_key == O_KEY
+    return total, Witness(m.canonical_key, tuple(steps))
+
+
+def test_token_walk_matches_map_walk(knots, descent_sums):
+    """The witness walk on traversal tokens gives the map walk's witness,
+    byte for byte, on the bundled files, kink-grown maps, seeded sums and
+    the family members."""
+    sum_74 = ingest_table(bundled_table_path().parent / "sum_74.gauss")
+    maps = knots + descent_sums + [e.map for e in sum_74]
+    maps += [m for _, m in family_members(17)]
+    for m in maps:
+        assert u_minus(m) == _map_walk_u_minus(m), m
+    assert len(maps) > 400
+
+
+def test_u_minus_builds_no_map(table_maps, descent_sums, monkeypatch):
+    """A cold ``u_minus`` builds no ``CurveMap`` beyond its input: every
+    move builds its map through ``_smooth_pairings`` or ``CurveMap._of``,
+    and both raise here."""
+
+    def no_map(*args):
+        raise AssertionError("u_minus built a map")
+
+    monkeypatch.setattr(splices, "_smooth_pairings", no_map)
+    monkeypatch.setattr(CurveMap, "_of", classmethod(no_map))
+    monkeypatch.setattr(search, "_UMINUS_MEMO", {O_KEY: 0})
+    for m in (table_maps["8x1"], descent_sums[0]):
+        fresh = CurveMap(m.opp, m.names, m.free_circles)
+        assert u_minus(fresh)[0] > 0
+    assert len(search._UMINUS_MEMO) > 10
 
 
 def test_token_bigons_match_faces(kink_free_classes):

@@ -14,7 +14,16 @@ perfbench's traced ``per_layer`` counts are sums over a run, so they grow
 with throughput.  So one ``--trace 1`` run per side and workload, on the
 first seed, is recorded per traced op: ``search.u_minus_calls``,
 ``search.u_upper_nodes``, ``surfaces.ak_leaves`` and the self time of
-``search.u_minus``.
+``search.u_minus``.  The two sides complete different numbers of traced
+ops, so they stop at different points of the input cycle; the counts are
+read from each side's span file,
+``perfbench/out/spans-<workload>-seed<seed>.jsonl``, over the ops both
+sides completed, op ids ``0 … min − 1``.
+
+perfbench's ``peak_rss_mb`` grows with the ops a run completes, since the
+harness keeps every op's result.  So each side's peak RSS is also read
+after a fixed number of ops (``RSS_OPS``), by running perfbench's own
+``worker.run_loop`` with ``op_count`` in a fresh interpreter per side.
 
 It also times scale probes that the 50 s workloads cannot reach, three
 times per side, alternating which side runs first, each in a fresh
@@ -46,8 +55,8 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, the four traced
-runs about 6 more, and the probes about 11 more (at most 120, if every
-reading times out).
+runs about 6 more, the fixed-count RSS runs about 2 more, and the probes
+about 11 more (at most 120, if every reading times out).
 """
 
 from __future__ import annotations
@@ -68,8 +77,34 @@ SEEDS = (3, 4, 5)
 SECONDS = 50
 PROBE_TIMEOUT_S = 120
 PROBE_REPEATS = 3
-# traced counts recorded per op
-TRACED_COUNTS = ("search.u_minus_calls", "search.u_upper_nodes", "surfaces.ak_leaves")
+# traced counts recorded per op: name -> (span name, note field or None to
+# count the spans)
+TRACED_COUNTS = {
+    "search.u_minus_calls": ("search.u_minus", None),
+    "search.u_upper_nodes": ("search.u_upper", "nodes"),
+    "surfaces.ak_leaves": ("surfaces.ak_min_genus", "leaves"),
+}
+# workload -> ops after which each side's peak RSS is read
+RSS_OPS = {"table": 6000, "descent": 6000}
+# The peak is the process's own VmHWM: ``ru_maxrss`` also counts the peak
+# of the process it was forked from, here this script after reading spans.
+RSS_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import worker, tracing
+from workloads import WORKLOADS
+wl = WORKLOADS[{workload!r}]
+api = worker.package_api()
+inputs = wl.setup({seed}, api, tracing.Tracer())
+with tempfile.TemporaryDirectory() as out:
+    results, seconds = worker.run_loop(
+        wl, inputs, api, worker.Caches(), Path(out), 0, op_count={ops}
+    )
+with open("/proc/self/status") as fh:
+    kb = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+print(json.dumps({{"ops": len(results), "seconds": seconds, "peak_rss_mb": kb / 1024}}))
+"""
 # name -> (set-up building ``m`` from the package ``sc``, the timed call)
 PROBES = {
     "u_minus Pretzel(5,5,5)": ("m = sc.gen_pretzel(5, 5, 5)", "sc.u_minus(m)[0]"),
@@ -194,17 +229,55 @@ def _run(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     return res
 
 
-def _traced(root: Path, workload: str, seed: int) -> dict:
-    """One ``--trace 1`` run in ``root``: the traced op count, and
-    ``TRACED_COUNTS`` and the self time of ``search.u_minus`` per op."""
+def _traced_ops(root: Path, workload: str, seed: int) -> int:
+    """One ``--trace 1`` run in ``root``, which writes its span file: the
+    number of ops it traced."""
     res = _run(root, workload, seed, trace=1)
-    layer = res["metrics"]
     # the worker runs the op sequence untraced, then the same ops traced
-    ops = res["attempted"] // 2
-    out = {"traced_ops": ops}
-    out.update({f"{k}_per_op": layer[k] / ops for k in TRACED_COUNTS})
-    out["search.u_minus_self_ms_per_op"] = layer["search.u_minus_s"] * 1e3 / ops
+    return res["attempted"] // 2
+
+
+def _span_counts(root: Path, workload: str, seed: int, ops: int) -> dict:
+    """``TRACED_COUNTS`` and the self time of ``search.u_minus`` per op,
+    over the traced ops ``0 … ops − 1`` of the last traced run in ``root``.
+    A span's line comes before its children's, so one pass over the file
+    finds the self time."""
+    path = root / "perfbench" / "out" / f"spans-{workload}-seed{seed}.jsonl"
+    totals = dict.fromkeys(TRACED_COUNTS, 0)
+    u_minus_ids = set()
+    self_s = 0.0
+    with open(path) as fh:
+        for line in fh:
+            span = json.loads(line)
+            seconds = span["end"] - span["start"]
+            if span["parent"] in u_minus_ids:
+                self_s -= seconds
+            if span["op"] is None or span["op"] >= ops:
+                continue
+            for count, (name, field) in TRACED_COUNTS.items():
+                if span["name"] == name:
+                    totals[count] += 1 if field is None else span["note"][field]
+            if span["name"] == "search.u_minus":
+                u_minus_ids.add(span["id"])
+                self_s += seconds
+    out = {f"{k}_per_op": v / ops for k, v in totals.items()}
+    out["search.u_minus_self_ms_per_op"] = self_s * 1e3 / ops
     return out
+
+
+def _rss_at(root: Path, workload: str, seed: int, ops: int) -> dict:
+    """Peak RSS of a fresh interpreter that sets up ``workload`` and runs
+    perfbench's closed loop in ``root`` for exactly ``ops`` ops."""
+    code = RSS_RUN.format(workload=workload, seed=seed, ops=ops)
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{workload} RSS run failed in {root}:\n{proc.stderr.strip()}"
+        )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _probe(root: Path, setup: str, call: str) -> dict | str:
@@ -285,10 +358,21 @@ def main(argv=None) -> int:
         }
     report["traced"] = {"seed": SEEDS[0]}
     for workload in WORKLOADS:
-        report["traced"][workload] = {
-            side: _traced(roots[side], workload, SEEDS[0]) for side in roots
+        traced = {side: _traced_ops(roots[side], workload, SEEDS[0]) for side in roots}
+        common = min(traced.values())
+        report["traced"][workload] = {"common_ops": common} | {
+            side: {"traced_ops": traced[side]}
+            | _span_counts(roots[side], workload, SEEDS[0], common)
+            for side in roots
         }
         print(f"traced {workload}: {report['traced'][workload]}", file=sys.stderr)
+    report["rss_at_fixed_ops"] = {"seed": SEEDS[0]}
+    for turn, (workload, ops) in enumerate(RSS_OPS.items()):
+        readings = {
+            side: _rss_at(roots[side], workload, SEEDS[0], ops) for side in _order(turn)
+        }
+        report["rss_at_fixed_ops"][workload] = readings
+        print(f"RSS after {ops} {workload} ops: {readings}", file=sys.stderr)
     report["probes"] = {"timeout_s": PROBE_TIMEOUT_S, "repeats": PROBE_REPEATS}
     turn = 0
     for name, (setup, call) in PROBES.items():
