@@ -203,7 +203,8 @@ def test_token_children_match_map_moves(knots, kink, descent_sums):
                     one_step = smooth(m, labels[p], DISORIENTED)
                     assert _token_key(child) == one_step.canonical_key, (m, labels[p])
                     if one_step.n:
-                        assert tuple(labels[i] for i in order) in _crossing_words(one_step)
+                        word = tuple(labels[i] for i in order)
+                        assert word in _crossing_words(one_step), (m, labels[p])
                     two_step = reduce_ri(one_step).canonical_key
                     assert _token_key(_kink_free(child)) == two_step, (m, labels[p])
                     spliced += 1
