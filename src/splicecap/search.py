@@ -15,7 +15,13 @@ closed curve, so the descent runs on traversal tokens, whose least
 rotation is the canonical key, and builds no map; so does the witness
 walk.  The two crossings of a bigon face splice to the same class, and so
 do two crossings that a symmetry of the curve swaps, so the descent skips
-a crossing when such a partner is visited before it.  ``u_upper``
+a crossing when such a partner is visited before it.  A value of at most
+one needs no search: kink cancellation is free reduction of the word, so
+the splice at ``c`` of ``c A c B`` cancels to the circle only when
+``B = A``, and the value is 1 exactly on the words ``c A c A``.  So the
+descent settles a class at 2 on its first child of value at most one,
+read off the word before any child is keyed; otherwise every child is at
+least 2, and the first child worth 2 settles the class at 3.  ``u_upper``
 bounds the two-way count, which also allows the inverse insertions, by
 ``k`` band insertions followed by an exact descent, and skips every class
 whose crosscap number already rules it out (crosscap <= ``u_minus``).  Its
@@ -351,28 +357,74 @@ def _token_children(tokens: list[int], walks: list[int]):
             yield p, _word_tokens(tokens, partner, *_splice(first, p, q, True))
 
 
+def _low(tokens: list[int]) -> int | None:
+    """``u_minus`` of the kink-free curve with traversal tokens ``tokens``
+    when it is at most one, read off the word, else ``None``: 0 with no
+    crossings, and 1 exactly when every crossing's two visits are ``n``
+    apart, the word ``c A c A`` (README "Design notes")."""
+    total = len(tokens)
+    if not total:
+        return 0
+    if tokens.count(total) + tokens.count(total + 1) == total:
+        return 1
+    return None
+
+
+def _child_classes(tokens: list[int], walks: list[int]):
+    """The distinct child classes of the kink-free curve with traversal
+    tokens ``tokens``, whose key the walks ``walks`` read, as
+    ``(key, tokens, walks)``; or ``None`` when a child has value at most
+    one (:func:`_low`), which settles the curve at 2.  No child is keyed
+    before every child is word-tested."""
+    children = []
+    for _, child in _token_children(tokens, walks):
+        if _low(child) is not None:
+            return None
+        children.append(child)
+    kids = {}
+    for child in children:
+        key, child_walks = _token_class(child)
+        if key not in kids:
+            kids[key] = key, child, child_walks
+    return list(kids.values())
+
+
 def _u_minus_value(tokens: list[int]) -> int:
     """``u_minus`` of the kink-free curve with traversal tokens ``tokens``,
     by a depth-first worklist over the kink-free classes below it (module
     docstring): every step of a kink-free map is a band splice, so a class
     is one more than its least child.  A class is held as the tokens of one
     of its maps and the walks that read its key, and its children come from
-    those tokens (:func:`_token_children`)."""
+    those tokens (:func:`_token_children`).
+
+    A value of at most one is read off the word (:func:`_low`), so a class
+    with such a child is 2.  Otherwise every child is at least 2, and the
+    children are evaluated one at a time until one is 2: the class is then
+    3.  A stack entry holds a class's key, its children, the index of the
+    next one and the least child value so far."""
+    low = _low(tokens)
+    if low is not None:
+        return low
     memo = _UMINUS_MEMO
     root, walks = _token_class(tokens)
-    stack = [] if root in memo else [(root, tokens, walks, None)]
+    if root in memo:
+        return memo[root]
+    stack = [[root, _child_classes(tokens, walks), 0, sys.maxsize]]
     while stack:
-        key, tokens, walks, children = stack.pop()
-        if children is not None:
-            memo[key] = 1 + min(memo[c] for c in children)
-        elif key not in memo:
-            kids = {}
-            for _, child in _token_children(tokens, walks):
-                child_key, child_walks = _token_class(child)
-                if child_key not in kids:
-                    kids[child_key] = child, child_walks
-            stack.append((key, tokens, walks, list(kids)))
-            stack.extend((k, *kid, None) for k, kid in kids.items() if k not in memo)
+        key, kids, i, least = frame = stack[-1]
+        while kids and i < len(kids) and least > 2:
+            child, child_tokens, child_walks = kids[i]
+            value = memo.get(child)
+            if value is None:
+                break
+            least = min(least, value)
+            i += 1
+        else:
+            memo[key] = 2 if kids is None else 1 + least
+            stack.pop()
+            continue
+        frame[2:] = i, least
+        stack.append([child, _child_classes(child_tokens, child_walks), 0, sys.maxsize])
     return memo[root]
 
 

@@ -28,6 +28,7 @@ from splicecap import search, splices, surfaces
 from splicecap.curvemap import (
     _curve_tokens,
     _least_rotation,
+    _token_class,
     _token_key,
     label_sort_key,
 )
@@ -35,6 +36,7 @@ from splicecap.search import (
     _band_insertions,
     _bigons,
     _kink_free,
+    _low,
     _splice,
     _token_children,
     _u_minus_value,
@@ -42,7 +44,7 @@ from splicecap.search import (
     _word_tokens,
 )
 from splicecap.splices import _kinks, _smooth_pairings
-from conftest import family_members
+from conftest import exhaustive_u_minus, family_members
 
 DISORIENTED = SmoothingChoice.DISORIENTED
 
@@ -344,3 +346,58 @@ def test_token_bigons_match_faces(kink_free_classes):
             ), (m, a, b)
         bigons += len(faces)
     assert len(kink_free_classes) > 500 and bigons > 2500
+
+
+def test_low_is_exact(kink_free_classes):
+    """The word test gives 1 on exactly the kink-free classes whose
+    exhaustive descent value is 1, and 0 only on the circle."""
+    assert _low([]) == 0
+    ones = 0
+    for m in kink_free_classes:
+        low = _low(_curve_tokens(m.curve_components[0]))
+        assert low in (None, 1), m
+        assert (low == 1) == (exhaustive_u_minus(m) == 1), m
+        ones += low == 1
+    assert ones >= 5
+
+
+def _full_expansion_u_minus(tokens, memo):
+    """``u_minus`` of the kink-free curve with tokens ``tokens`` by the
+    descent that keys every child class and evaluates all of them, with
+    no word test and no early stop: an oracle for both, stored in
+    ``memo``."""
+    root, walks = _token_class(tokens)
+    stack = [] if root in memo else [(root, tokens, walks, None)]
+    while stack:
+        key, tokens, walks, children = stack.pop()
+        if children is not None:
+            memo[key] = 1 + min(memo[c] for c in children)
+        elif key not in memo:
+            kids = {}
+            for _, child in _token_children(tokens, walks):
+                child_key, child_walks = _token_class(child)
+                if child_key not in kids:
+                    kids[child_key] = child, child_walks
+            stack.append((key, tokens, walks, list(kids)))
+            stack.extend((k, *kid, None) for k, kid in kids.items() if k not in memo)
+    return memo[root]
+
+
+def test_u_minus_value_matches_full_expansion(table, descent_sums, monkeypatch):
+    """Cold, the descent with the word test and the early stop gives the
+    full expansion's value on the table, the seeded sums and the family
+    members up to 14 crossings, and every value it stores in its memo is
+    the full expansion's value for the same key."""
+    maps = [e.map for e in table if len(e.map.curve_components) == 1]
+    maps += descent_sums + [m for _, m in family_members(14)]
+    oracle = {O_KEY: 0}
+    stored = set()
+    for m in maps:
+        memo = {O_KEY: 0}
+        monkeypatch.setattr(search, "_UMINUS_MEMO", memo)
+        tokens = _kink_free(_curve_tokens(m.curve_components[0]) if m.n else [])
+        assert u_minus(m)[0] == _full_expansion_u_minus(tokens, oracle), m
+        for key, value in memo.items():
+            assert oracle[key] == value, (m, key)
+        stored.update(memo.values())
+    assert {0, 2, 3, 4} <= stored and len(maps) > 150

@@ -77,17 +77,20 @@ def test_u_minus_multi_component(trefoil):
         u_minus(smooth(trefoil, "1", SmoothingChoice.ORIENTED))
 
 
-def test_u_minus_missing_optimal_step_fails_loudly(trefoil, monkeypatch, tmp_path):
+def test_u_minus_missing_optimal_step_fails_loudly(table_maps, monkeypatch, tmp_path):
     """A memo value no descent step realizes is an internal invariant
-    violation, also under ``python -O``: the CLI exits with code 2."""
+    violation, also under ``python -O``: the CLI exits with code 2.  The
+    poisoned class is ``4_1`` (value 2): a value of at most one is read off
+    the word and never from the memo."""
     import splicecap.cli
     import splicecap.search
 
-    monkeypatch.setitem(splicecap.search._UMINUS_MEMO, trefoil.canonical_key, 0)
+    figure_eight = table_maps["4_1"]
+    monkeypatch.setitem(splicecap.search._UMINUS_MEMO, figure_eight.canonical_key, 0)
     with pytest.raises(InvariantViolation, match="optimal descent step"):
-        u_minus(trefoil)
-    record = tmp_path / "trefoil.gauss"
-    record.write_text("3_1: 1+ 2+ 3+ 1+ 2+ 3+\n")
+        u_minus(figure_eight)
+    record = tmp_path / "figure_eight.gauss"
+    record.write_text("4_1: 3- 4- 1+ 2+ 4- 3- 2+ 1+\n")
     assert splicecap.cli.main(["u-minus", str(record)]) == 2
 
 

@@ -25,6 +25,12 @@ harness keeps every op's result.  So each side's peak RSS is also read
 after a fixed number of ops (``RSS_OPS``), by running perfbench's own
 ``worker.run_loop`` with ``op_count`` in a fresh interpreter per side.
 
+The descent's work is counted apart from the clock too: in a fresh
+interpreter per side, one pass over seed 3's ``descent`` inputs, each op
+cold, records the keys (``_token_class`` calls in ``search``), the
+children ``_token_children`` yields and the descent memo entries per op
+(``keys_per_cold_op``).
+
 It also times scale probes that the 50 s workloads cannot reach, three
 times per side, alternating which side runs first, each in a fresh
 interpreter (so the descent memo starts cold) under a 120 s timeout: cold
@@ -55,8 +61,8 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, the four traced
-runs about 6 more, the fixed-count RSS runs about 2 more, and the probes
-about 11 more (at most 120, if every reading times out).
+runs about 6 more, the fixed-count RSS runs about 2 more, the key counts
+under one, and the probes about 11 more (at most 120, if every reading times out).
 """
 
 from __future__ import annotations
@@ -104,6 +110,39 @@ with tempfile.TemporaryDirectory() as out:
 with open("/proc/self/status") as fh:
     kb = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
 print(json.dumps({{"ops": len(results), "seconds": seconds, "peak_rss_mb": kb / 1024}}))
+"""
+# Keys (``_token_class`` calls in ``search``), children (items that
+# ``_token_children`` yields) and descent memo entries per cold op, over
+# one pass of the ``descent`` inputs with the caches reset before each op.
+KEYS_RUN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import worker, tracing
+from workloads import WORKLOADS, fresh
+from splicecap import search
+wl = WORKLOADS["descent"]
+api = worker.package_api()
+inputs = wl.setup({seed}, api, tracing.Tracer())
+caches = worker.Caches()
+counts = dict.fromkeys(("keys", "children", "memo_entries"), 0)
+token_class, token_children = search._token_class, search._token_children
+
+def counted_class(*args):
+    counts["keys"] += 1
+    return token_class(*args)
+
+def counted_children(*args):
+    for child in token_children(*args):
+        counts["children"] += 1
+        yield child
+
+search._token_class, search._token_children = counted_class, counted_children
+for op in inputs:
+    caches.reset()
+    wl.run(api, op, fresh(op.map))
+    counts["memo_entries"] += len(caches.memo) - len(caches.memo_initial)
+ops = len(inputs)
+print(json.dumps({{"ops": ops}} | {{f"{{k}}_per_op": v / ops for k, v in counts.items()}}))
 """
 # name -> (set-up building ``m`` from the package ``sc``, the timed call)
 PROBES = {
@@ -265,19 +304,28 @@ def _span_counts(root: Path, workload: str, seed: int, ops: int) -> dict:
     return out
 
 
-def _rss_at(root: Path, workload: str, seed: int, ops: int) -> dict:
-    """Peak RSS of a fresh interpreter that sets up ``workload`` and runs
-    perfbench's closed loop in ``root`` for exactly ``ops`` ops."""
-    code = RSS_RUN.format(workload=workload, seed=seed, ops=ops)
+def _fresh_run(root: Path, code: str, what: str) -> dict:
+    """The closing JSON line of ``code`` run in a fresh interpreter that
+    imports ``root``'s package from ``root``."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True
     )
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"{workload} RSS run failed in {root}:\n{proc.stderr.strip()}"
-        )
+        raise RuntimeError(f"{what} failed in {root}:\n{proc.stderr.strip()}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _rss_at(root: Path, workload: str, seed: int, ops: int) -> dict:
+    """Peak RSS of a fresh interpreter that sets up ``workload`` and runs
+    perfbench's closed loop in ``root`` for exactly ``ops`` ops."""
+    code = RSS_RUN.format(workload=workload, seed=seed, ops=ops)
+    return _fresh_run(root, code, f"{workload} RSS run")
+
+
+def _keys_per_op(root: Path, seed: int) -> dict:
+    """``KEYS_RUN``'s counts per cold ``descent`` op in ``root``."""
+    return _fresh_run(root, KEYS_RUN.format(seed=seed), "descent key count")
 
 
 def _probe(root: Path, setup: str, call: str) -> dict | str:
@@ -373,6 +421,10 @@ def main(argv=None) -> int:
         }
         report["rss_at_fixed_ops"][workload] = readings
         print(f"RSS after {ops} {workload} ops: {readings}", file=sys.stderr)
+    report["keys_per_cold_op"] = {"seed": SEEDS[0], "workload": "descent"} | {
+        side: _keys_per_op(roots[side], SEEDS[0]) for side in roots
+    }
+    print(f"keys per cold descent op: {report['keys_per_cold_op']}", file=sys.stderr)
     report["probes"] = {"timeout_s": PROBE_TIMEOUT_S, "repeats": PROBE_REPEATS}
     turn = 0
     for name, (setup, call) in PROBES.items():
