@@ -551,7 +551,7 @@ def _canonical_key(m: CurveMap) -> bytes:
     for crossings, cs in zip(comps, curves):
         nn = len(crossings)
         if len(cs) == 1:
-            seq = _least_rotation(_curve_tokens(cs[0]))[0]
+            seq = _least_rotation(_curve_tokens(cs[0]))
         else:
             seq = _rooted_canon(dense_opp(m.opp, crossings), nn)
         texts.append(f"c{nn}:" + ",".join(map(str, seq)))
@@ -563,18 +563,11 @@ def _token_key(tokens: list[int], free_circles: int = 0) -> bytes:
     tokens (:func:`_curve_tokens`) are ``tokens``, read from any start, in
     either direction or reflected, and of ``free_circles`` crossingless
     circles.  No tokens makes the curve one more crossingless circle."""
-    return _token_class(tokens, free_circles)[0]
-
-
-def _token_class(tokens: list[int], free_circles: int = 0) -> tuple[bytes, list[int]]:
-    """:func:`_token_key` of ``tokens`` and the walks that read its least
-    rotation (:func:`_least_rotation`)."""
     n = len(tokens) >> 1
     if not n:
-        return f"n0o{free_circles + 1}".encode(), []
-    rotation, walks = _least_rotation(tokens)
-    seq = ",".join(map(str, rotation))
-    return f"n{n}o{free_circles};c{n}:{seq}".encode(), walks
+        return f"n0o{free_circles + 1}".encode()
+    seq = ",".join(map(str, _least_rotation(tokens)))
+    return f"n{n}o{free_circles};c{n}:{seq}".encode()
 
 
 def _curve_tokens(orbit: tuple[int, ...]) -> list[int]:
@@ -600,43 +593,28 @@ def _curve_tokens(orbit: tuple[int, ...]) -> list[int]:
     return fwd
 
 
-def _least_rotation(tokens: list[int]) -> tuple[list[int], list[int]]:
+def _least_rotation(tokens: list[int]) -> list[int]:
     """Least rotation of a curve's tokens over both directions and both
-    reflections, and every walk that reads it: a walk ``w >= 0`` reads
-    position ``k`` of the rotation at visit ``(w + k) % len(tokens)``, and
-    a walk ``w < 0`` at visit ``(~w - k) % len(tokens)``, backwards.
+    reflections.
 
     The reverse walk reads the tokens backwards with distance ``2n - d``
     and the same bits; reflection flips every bit.  The least rotation over
     the four sequences starts with the least token, so only those starts
-    are compared.  Two walks that read the same rotation differ by a
-    symmetry of the curve, so the walks are as many as its symmetries.
+    are compared.
     """
     total = len(tokens)
     rev = [((total - (t >> 1)) << 1) | (t & 1) for t in reversed(tokens)]
     # every variant holds the same distances, and one of each pair a 0 bit
     lo = min(tokens) & ~1
     best = [total << 1]  # above every token, so any rotation beats it
-    walks: list[int] = []
-    # start i of the reversed tokens is visit total - 1 - i, walk i - total
-    for v, offset in (
-        (tokens, 0),
-        ([t ^ 1 for t in tokens], 0),
-        (rev, -total),
-        ([t ^ 1 for t in rev], -total),
-    ):
+    for v in (tokens, [t ^ 1 for t in tokens], rev, [t ^ 1 for t in rev]):
         i = -1
         for _ in range(v.count(lo)):
             i = v.index(lo, i + 1)
             rotation = v[i:] + v[:i]
-            # equality first: a tie then costs one full comparison, as a
-            # rotation that is not the least did before walks were kept
-            if rotation == best:
-                walks.append(i + offset)
-            elif rotation < best:
+            if rotation < best:
                 best = rotation
-                walks = [i + offset]
-    return best, walks
+    return best
 
 
 def _rooted_canon(opp: list[int], n: int) -> tuple[int, ...]:

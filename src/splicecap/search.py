@@ -13,9 +13,8 @@ count is computed on ``reduce_ri(P)``, by a memoized descent over kink-free
 canonical forms in which every step is a band splice.  Each class is one
 closed curve, so the descent runs on traversal tokens, whose least
 rotation is the canonical key, and builds no map; so does the witness
-walk.  The two crossings of a bigon face splice to the same class, and so
-do two crossings that a symmetry of the curve swaps, so the descent skips
-a crossing when such a partner is visited before it.  A value of at most
+walk.  The two crossings of a bigon face splice to the same class, so the
+descent splices only the one it visits first.  A value of at most
 one needs no search: kink cancellation is free reduction of the word, so
 the splice at ``c`` of ``c A c B`` cancels to the circle only when
 ``B = A``, and the value is 1 exactly on the words ``c A c A``.  So the
@@ -40,7 +39,7 @@ from .curvemap import (
     CurveMap,
     O_KEY,
     _curve_tokens,
-    _token_class,
+    _token_key,
     components,
     label_sort_key,
 )
@@ -324,34 +323,20 @@ def _kink_free(tokens: list[int]) -> list[int]:
     return _word_tokens(tokens, partner, order, len(order))
 
 
-def _token_children(tokens: list[int], walks: list[int]):
+def _token_children(tokens: list[int]):
     """Yield ``(p, child)`` for the crossings of the kink-free curve whose
     traversal tokens are ``tokens``: ``p`` is the crossing's first visit,
     and ``child`` holds the tokens of ``reduce_ri`` of its disoriented
-    splice (:func:`_splice` with the joins cancelled).  ``walks`` are the
-    walks that read the least rotation of ``tokens``
-    (:func:`curvemap._least_rotation`).
+    splice (:func:`_splice` with the joins cancelled).
 
-    A crossing is skipped when another one with an earlier first visit is
-    known to give the same child class: one that bounds a bigon face with
-    it (:func:`_bigons`), or its image under a symmetry of the curve, which
-    two walks give (README "Design notes").  From a skipped crossing such
-    steps lower the first visit each time, so they end at a crossing that
-    is yielded, and every child class is yielded.
+    A crossing is skipped when it bounds a bigon face with a crossing of
+    earlier first visit (:func:`_bigons`): the two give the same child
+    class.  From a skipped crossing such steps lower the first visit each
+    time, so they end at a crossing that is yielded, and every child class
+    is yielded.
     """
-    total = len(tokens)
     partner, first = _visits(tokens)
     skip = {max(first[i], first[j]) for i, j in _bigons(tokens)}
-    if len(walks) > 1:
-        # a symmetry maps the visit one walk reads at position k to the
-        # visit another walk reads there
-        w0, *others = walks
-        for p, q in enumerate(partner):
-            k = p - w0 if w0 >= 0 else ~w0 - p
-            if p < q and any(
-                first[(w + k if w >= 0 else ~w - k) % total] < p for w in others
-            ):
-                skip.add(p)
     for p, q in enumerate(partner):
         if p < q and p not in skip:
             yield p, _word_tokens(tokens, partner, *_splice(first, p, q, True))
@@ -370,23 +355,20 @@ def _low(tokens: list[int]) -> int | None:
     return None
 
 
-def _child_classes(tokens: list[int], walks: list[int]):
+def _child_classes(tokens: list[int]):
     """The distinct child classes of the kink-free curve with traversal
-    tokens ``tokens``, whose key the walks ``walks`` read, as
-    ``(key, tokens, walks)``; or ``None`` when a child has value at most
-    one (:func:`_low`), which settles the curve at 2.  No child is keyed
-    before every child is word-tested."""
+    tokens ``tokens``, as ``(key, tokens)``; or ``None`` when a child has
+    value at most one (:func:`_low`), which settles the curve at 2.  No
+    child is keyed before every child is word-tested."""
     children = []
-    for _, child in _token_children(tokens, walks):
+    for _, child in _token_children(tokens):
         if _low(child) is not None:
             return None
         children.append(child)
     kids = {}
     for child in children:
-        key, child_walks = _token_class(child)
-        if key not in kids:
-            kids[key] = key, child, child_walks
-    return list(kids.values())
+        kids.setdefault(_token_key(child), child)
+    return list(kids.items())
 
 
 def _u_minus_value(tokens: list[int]) -> int:
@@ -394,8 +376,8 @@ def _u_minus_value(tokens: list[int]) -> int:
     by a depth-first worklist over the kink-free classes below it (module
     docstring): every step of a kink-free map is a band splice, so a class
     is one more than its least child.  A class is held as the tokens of one
-    of its maps and the walks that read its key, and its children come from
-    those tokens (:func:`_token_children`).
+    of its maps, and its children come from those tokens
+    (:func:`_token_children`).
 
     A value of at most one is read off the word (:func:`_low`), so a class
     with such a child is 2.  Otherwise every child is at least 2, and the
@@ -406,14 +388,14 @@ def _u_minus_value(tokens: list[int]) -> int:
     if low is not None:
         return low
     memo = _UMINUS_MEMO
-    root, walks = _token_class(tokens)
+    root = _token_key(tokens)
     if root in memo:
         return memo[root]
-    stack = [[root, _child_classes(tokens, walks), 0, sys.maxsize]]
+    stack = [[root, _child_classes(tokens), 0, sys.maxsize]]
     while stack:
         key, kids, i, least = frame = stack[-1]
         while kids and i < len(kids) and least > 2:
-            child, child_tokens, child_walks = kids[i]
+            child, child_tokens = kids[i]
             value = memo.get(child)
             if value is None:
                 break
@@ -424,7 +406,7 @@ def _u_minus_value(tokens: list[int]) -> int:
             stack.pop()
             continue
         frame[2:] = i, least
-        stack.append([child, _child_classes(child_tokens, child_walks), 0, sys.maxsize])
+        stack.append([child, _child_classes(child_tokens), 0, sys.maxsize])
     return memo[root]
 
 

@@ -5,7 +5,8 @@ The reference tries every start, direction and reflection of a one-curve
 component's Gauss-word walk; the fast key reads rotation-invariant tokens
 once.  A component with more curves gets a rooted encoding of its own here,
 numbered in another order than the package's.  Both keys must split any set
-of maps into the same classes.
+of maps into the same classes.  The bytes of the one-curve key are pinned
+too, against the least rotation found by trying every start.
 """
 
 import random
@@ -13,16 +14,18 @@ import random
 from splicecap import (
     SmoothingChoice,
     build_map,
+    bundled_table_path,
     extract_code,
     gen_pretzel,
     gen_rational,
     gen_torus,
+    ingest_table,
     mirror_map,
     ri_plus,
     s_plus,
     smooth,
 )
-from splicecap.curvemap import SignedGaussCode
+from splicecap.curvemap import SignedGaussCode, _curve_tokens, _least_rotation
 
 
 def rot2(d: int) -> int:
@@ -195,3 +198,38 @@ def test_token_key_matches_reference_partition(table):
     # old keys equal <=> new keys equal: the pairing is a bijection
     assert len(old_classes) == len(new_classes) == len(pairs)
     assert len(pairs) > 450
+
+
+def _brute_least_rotation(tokens: list[int]) -> list[int]:
+    """The least of every rotation of the tokens, bit-flipped or not, read
+    forwards or backwards; backwards, distance ``d`` reads ``2n - d``."""
+    total = len(tokens)
+    rev = [((total - (t >> 1)) << 1) | (t & 1) for t in reversed(tokens)]
+    variants = (tokens, [t ^ 1 for t in tokens], rev, [t ^ 1 for t in rev])
+    return min(v[k:] + v[:k] for v in variants for k in range(total))
+
+
+def test_one_curve_key_bytes():
+    """The least rotation and the key bytes of every one-curve map of the
+    bundled files, of its one-crossing disoriented smoothings, and of the
+    torus projections with 3 to 79 crossings."""
+    data = bundled_table_path().parent
+    maps = []
+    for name in ("projections_le8.gauss", "projections_9.gauss", "sum_74.gauss"):
+        for e in ingest_table(data / name):
+            if len(e.map.curve_components) == 1:
+                maps.append(e.map)
+                maps.extend(
+                    smooth(e.map, c, SmoothingChoice.DISORIENTED) for c in e.map.names
+                )
+    maps += [gen_torus(k) for k in range(2, 41)]
+    keyed = 0
+    for m in maps:
+        if m.n and len(m.curve_components) == 1:
+            tokens = _curve_tokens(m.curve_components[0])
+            least = _brute_least_rotation(tokens)
+            assert _least_rotation(tokens) == least, m
+            seq = ",".join(map(str, least))
+            assert m.canonical_key == f"n{m.n}o{m.free_circles};c{m.n}:{seq}".encode()
+            keyed += 1
+    assert keyed > 1000

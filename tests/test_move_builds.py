@@ -27,8 +27,6 @@ from splicecap import (
 from splicecap import search, splices, surfaces
 from splicecap.curvemap import (
     _curve_tokens,
-    _least_rotation,
-    _token_class,
     _token_key,
     label_sort_key,
 )
@@ -188,6 +186,7 @@ def test_token_children_match_map_moves(knots, kink, descent_sums):
     assert _token_key(_curve_tokens(kink.curve_components[0])) == kink.canonical_key
     assert _token_key([]) == O_KEY
     maps = knots + [m for _, m in family_members(17)] + descent_sums
+    # curves with symmetries: crossings a symmetry swaps give one child class
     maps += [gen_pretzel(3, 3, 3), gen_torus(5)]
     children = spliced = 0
     for m in maps:
@@ -212,7 +211,7 @@ def test_token_children_match_map_moves(knots, kink, descent_sums):
                     spliced += 1
             continue
         crossings, keys = [], set()
-        for p, child in _token_children(tokens, _least_rotation(tokens)[1]):
+        for p, child in _token_children(tokens):
             name = m.names[orbit[p] >> 2]
             crossings.append(name)
             two_step = reduce_ri(smooth(m, name, DISORIENTED))
@@ -222,22 +221,6 @@ def test_token_children_match_map_moves(knots, kink, descent_sums):
         assert len(set(crossings)) == len(crossings)
         assert keys == every, m
     assert children > 1000 and spliced > 1500
-
-
-def test_token_children_skip_symmetric_crossings(monkeypatch):
-    """A symmetry of the curve, read off the ties of the least rotation,
-    skips crossings on its own, and keeps every child class: checked with
-    the bigon rule switched off, on a pretzel and a torus projection."""
-    monkeypatch.setattr(search, "_bigons", lambda tokens: ())
-    for m in (gen_pretzel(3, 3, 3), gen_torus(5)):
-        tokens = _curve_tokens(m.curve_components[0])
-        walks = _least_rotation(tokens)[1]
-        assert len(walks) > 1
-        with_symmetry = list(_token_children(tokens, walks))
-        every = list(_token_children(tokens, walks[:1]))
-        assert len(with_symmetry) < len(every) == m.n
-        keys = {_token_key(child) for _, child in with_symmetry}
-        assert keys == {_token_key(child) for _, child in every}
 
 
 def test_join_cancellation_matches_kink_pass(kink_free_classes):
@@ -366,20 +349,18 @@ def _full_expansion_u_minus(tokens, memo):
     descent that keys every child class and evaluates all of them, with
     no word test and no early stop: an oracle for both, stored in
     ``memo``."""
-    root, walks = _token_class(tokens)
-    stack = [] if root in memo else [(root, tokens, walks, None)]
+    root = _token_key(tokens)
+    stack = [] if root in memo else [(root, tokens, None)]
     while stack:
-        key, tokens, walks, children = stack.pop()
+        key, tokens, children = stack.pop()
         if children is not None:
             memo[key] = 1 + min(memo[c] for c in children)
         elif key not in memo:
             kids = {}
-            for _, child in _token_children(tokens, walks):
-                child_key, child_walks = _token_class(child)
-                if child_key not in kids:
-                    kids[child_key] = child, child_walks
-            stack.append((key, tokens, walks, list(kids)))
-            stack.extend((k, *kid, None) for k, kid in kids.items() if k not in memo)
+            for _, child in _token_children(tokens):
+                kids.setdefault(_token_key(child), child)
+            stack.append((key, tokens, list(kids)))
+            stack.extend((k, kid, None) for k, kid in kids.items() if k not in memo)
     return memo[root]
 
 

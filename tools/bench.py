@@ -27,8 +27,9 @@ after a fixed number of ops (``RSS_OPS``), by running perfbench's own
 
 The descent's work is counted apart from the clock too: in a fresh
 interpreter per side, one pass over seed 3's ``descent`` inputs, each op
-cold, records the keys (``_token_class`` calls in ``search``), the
-children ``_token_children`` yields and the descent memo entries per op
+cold, records the keys (``_token_key`` calls in ``search``; a parent
+whose ``search`` keys with ``_token_class`` has that counted), the children
+``_token_children`` yields and the descent memo entries per op
 (``keys_per_cold_op``).
 
 It also times scale probes that the 50 s workloads cannot reach, three
@@ -111,7 +112,7 @@ with open("/proc/self/status") as fh:
     kb = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
 print(json.dumps({{"ops": len(results), "seconds": seconds, "peak_rss_mb": kb / 1024}}))
 """
-# Keys (``_token_class`` calls in ``search``), children (items that
+# Keys (``_token_key`` calls in ``search``), children (items that
 # ``_token_children`` yields) and descent memo entries per cold op, over
 # one pass of the ``descent`` inputs with the caches reset before each op.
 KEYS_RUN = """
@@ -125,18 +126,21 @@ api = worker.package_api()
 inputs = wl.setup({seed}, api, tracing.Tracer())
 caches = worker.Caches()
 counts = dict.fromkeys(("keys", "children", "memo_entries"), 0)
-token_class, token_children = search._token_class, search._token_children
+# search keys with _token_key; an older checkout keys with _token_class
+key_name = "_token_key" if hasattr(search, "_token_key") else "_token_class"
+token_key, token_children = getattr(search, key_name), search._token_children
 
-def counted_class(*args):
+def counted_key(*args):
     counts["keys"] += 1
-    return token_class(*args)
+    return token_key(*args)
 
 def counted_children(*args):
     for child in token_children(*args):
         counts["children"] += 1
         yield child
 
-search._token_class, search._token_children = counted_class, counted_children
+setattr(search, key_name, counted_key)
+search._token_children = counted_children
 for op in inputs:
     caches.reset()
     wl.run(api, op, fresh(op.map))
