@@ -271,63 +271,47 @@ def _cut_word(m: CurveMap, dart: tuple[str, int] | None) -> tuple:
     return word[i:] + word[:i]
 
 
-def _sub_factor(m: CurveMap, orbit: list[int], s: int, length: int) -> CurveMap:
-    """Close off the traversal stretch ``s .. s+length-1`` as its own map."""
-    k = len(orbit)
-    crossings = sorted({m.opp[orbit[(s + i) % k]] >> 2 for i in range(length)})
-    entry_in = m.opp[orbit[s % k]]
-    exit_out = orbit[(s + length) % k]
-    # the stretch leaves its crossings only through these two darts
-    opp = list(m.opp)
-    opp[entry_in], opp[exit_out] = exit_out, entry_in
-    names = tuple(m.names[c] for c in crossings)
-    return CurveMap(dense_opp(opp, crossings), names, 0)
-
-
-def closing_stretch(word) -> tuple[int, int] | None:
-    """The first cyclic stretch ``(start, length)`` of a Gauss word, shorter
-    than the word, that holds both visits of each of its labels; ``None``
-    when there is none, i.e. when the word is prime."""
-    k = len(word)
-    for s in range(k):
-        seen: set[int] = set()
-        closed = 0
-        for length in range(1, k):
-            lab = word[(s + length - 1) % k]
-            if lab in seen:
-                closed += 1
-            else:
-                seen.add(lab)
-            if closed == len(seen):
-                return s, length
-    return None
-
-
 def decompose_prime(m: CurveMap) -> list[CurveMap]:
     """Maximal connected-sum factorization of a knot projection.
 
-    Returns prime factors in canonical-key order; the simple closed curve
-    factors into nothing.  A factor is cut off wherever a stretch of the
-    traversal closes over its own crossings, i.e. some rotation of the Gauss
-    word divides into two label-disjoint halves.
+    Returns prime factors in canonical-key order, ties in the order the
+    traversal leaves them for the last time; the simple closed curve
+    factors into nothing, and a prime map comes back as itself.  A sum splits along a
+    circle through two faces, so the edges that border the same two faces
+    cut the traversal into stretches that each close over their own
+    crossings.  Stretches of different face pairs nest or lie apart, so
+    every cut is made at once: each such edge's exit joins the entry of the
+    edge before it in its group (README "Design notes").
     """
     if components(m) != 1:
         raise MultiComponentError("prime decomposition needs a knot projection")
-    factors: list[CurveMap] = []
-    todo = [m]
-    while todo:
-        m = todo.pop()
-        if m.n == 0:
-            continue
-        orbit = list(m.curve_components[0])
-        stretch = closing_stretch([m.opp[d] >> 2 for d in orbit])
-        if stretch is None:
-            factors.append(m)
-            continue
-        s, length = stretch
-        # right half below the left, so the left half is split first
-        todo.append(_sub_factor(m, orbit, s + length, len(orbit) - length))
-        todo.append(_sub_factor(m, orbit, s, length))
+    if m.n == 0:
+        return []
+    face = [0] * (4 * m.n)
+    for i, orbit in enumerate(m.face_orbits):
+        for d in orbit:
+            face[d] = i
+    walk = m.curve_components[0]
+    groups: dict[frozenset, list[int]] = {}
+    for d in walk:
+        groups.setdefault(frozenset((face[d], face[m.opp[d]])), []).append(d)
+    cuts = [g for g in groups.values() if len(g) > 1]
+    if not cuts:
+        return [m]
+    opp = list(m.opp)
+    for g in cuts:
+        for prev, d in zip(g[-1:] + g[:-1], g):
+            entry = m.opp[prev]
+            opp[d], opp[entry] = entry, d
+    last = {m.opp[d] >> 2: i for i, d in enumerate(walk)}
+    pieces = sorted(
+        CurveMap._of(tuple(opp), m.names, 0).graph_components,
+        key=lambda cs: max(last[c] for c in cs),
+    )
+    factors = [
+        CurveMap(dense_opp(opp, cs), tuple(m.names[c] for c in cs))
+        for cs in pieces
+    ]
     factors.sort(key=lambda f: f.canonical_key)
     return factors
 
@@ -403,8 +387,8 @@ def classify_projection(m: CurveMap) -> ClassLabel:
     """
     if components(m) != 1:
         raise MultiComponentError("classification needs a knot projection")
-    # a kink closes a stretch of its own, so it comes back as a one-crossing
-    # factor and every larger factor is kink-free
+    # a kink's two outer edges border the same two faces, so it comes back
+    # as a one-crossing factor and every larger factor is kink-free
     factors = [f for f in decompose_prime(reduce_ri(m)) if f.n > 1]
     if not factors:
         return ClassLabel(ClassKind.U0)

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from splicecap import (
+    CurveMap,
     InvalidMove,
     SmoothingChoice,
     bundled_external_path,
@@ -18,6 +19,7 @@ from splicecap import (
     s_plus,
     smooth,
 )
+from splicecap.curvemap import dense_opp
 from splicecap.splices import _band_darts, _smooth_pairings, oriented_pairing
 
 # n = 9; the crosscap branching leaves a disconnected remainder on this one
@@ -162,3 +164,58 @@ def trial_twist_move(m, dart1, dart2, i, variant="A"):
         else:
             raise AssertionError("kink loop landed in neither face of the arc")
     return s_plus(cur, dart1, band_src)
+
+
+def closing_stretch(word):
+    """The first cyclic stretch ``(start, length)`` of a Gauss word, shorter
+    than the word, that holds both visits of each of its labels; ``None``
+    when there is none, i.e. when the word is prime."""
+    k = len(word)
+    for s in range(k):
+        seen = set()
+        closed = 0
+        for length in range(1, k):
+            lab = word[(s + length - 1) % k]
+            if lab in seen:
+                closed += 1
+            else:
+                seen.add(lab)
+            if closed == len(seen):
+                return s, length
+    return None
+
+
+def _sub_factor(m, orbit, s, length):
+    """Close off the traversal stretch ``s .. s+length-1`` as its own map."""
+    k = len(orbit)
+    crossings = sorted({m.opp[orbit[(s + i) % k]] >> 2 for i in range(length)})
+    entry_in = m.opp[orbit[s % k]]
+    exit_out = orbit[(s + length) % k]
+    # the stretch leaves its crossings only through these two darts
+    opp = list(m.opp)
+    opp[entry_in], opp[exit_out] = exit_out, entry_in
+    names = tuple(m.names[c] for c in crossings)
+    return CurveMap(dense_opp(opp, crossings), names, 0)
+
+
+def stretch_decompose_prime(m):
+    """Prime factors found one closing stretch at a time off a work stack,
+    left half first, then sorted by canonical key: an oracle for
+    ``decompose_prime``, its tie order included."""
+    factors = []
+    todo = [m]
+    while todo:
+        m = todo.pop()
+        if m.n == 0:
+            continue
+        orbit = list(m.curve_components[0])
+        stretch = closing_stretch([m.opp[d] >> 2 for d in orbit])
+        if stretch is None:
+            factors.append(m)
+            continue
+        s, length = stretch
+        # right half below the left, so the left half is split first
+        todo.append(_sub_factor(m, orbit, s + length, len(orbit) - length))
+        todo.append(_sub_factor(m, orbit, s, length))
+    factors.sort(key=lambda f: f.canonical_key)
+    return factors

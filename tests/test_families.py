@@ -39,7 +39,7 @@ from splicecap import (
     render_code,
     s_plus,
 )
-from conftest import family_members
+from conftest import family_members, stretch_decompose_prime
 
 
 def test_crossing_count_formulas():
@@ -245,6 +245,67 @@ def test_decompose_prime_leaves_no_cycles(table_maps):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _oracle_inputs(table_maps):
+    """One-curve maps for the prime split: the bundled records, seeded
+    self-sums (equal-key ties), mixed sums, kink-grown sums and family
+    members."""
+    data = bundled_table_path().parent
+    out = [
+        e.map
+        for path in ("projections_le8.gauss", "projections_9.gauss", "sum_74.gauss")
+        for e in ingest_table(data / path)
+        if components(e.map) == 1
+    ]
+    rng = Random(25)
+    primes = [m for m in table_maps.values() if m.n > 0]
+
+    def dart(m):
+        return rng.choice(m.names), rng.randrange(4)
+
+    def total(parts):
+        s = parts[0]
+        for f in parts[1:]:
+            s = connected_sum(s, dart(s), f, dart(f))
+        return s
+
+    sums = [total([rng.choice(primes)] * rng.randint(2, 5)) for _ in range(80)]
+    sums += [total(rng.choices(primes, k=rng.randint(2, 4))) for _ in range(80)]
+    for _ in range(80):
+        s = rng.choice(sums)
+        for _ in range(rng.randint(1, 4)):
+            s = ri_plus(s, dart(s), rng.choice("LR"))
+        sums.append(s)
+    # "2+ 4- 4- 3+ 3+ 2+ 1+ 1+": kinks 4 and 3 sit in the loop of kink 2.
+    # The traversal leaves them 4, 3, 2, 1; the stretch split walks that
+    # loop's sub-map backwards and returns 3, 4, 2, 1
+    nested = CurveMap((4, 2, 1, 5, 0, 3, 15, 8, 7, 12, 11, 10, 9, 14, 13, 6))
+    return (
+        out + sums + [nested] + [m for _, m in family_members(17)]
+        + [gen_torus(l) for l in range(2, 41)]
+    )
+
+
+def test_decompose_prime_matches_stretch_oracle(table_maps):
+    """The face-pair split gives the factors, names and codes of the split
+    one closing stretch at a time, in the same key order; equal keys come
+    in the order the input's traversal leaves them for good."""
+    for m in _oracle_inputs(table_maps):
+        got = decompose_prime(m)
+        if len(got) == 1 and got[0].n == m.n:
+            assert got[0] is m
+        sig = [(f.canonical_key, f.names, render_code(extract_code(f))) for f in got]
+        want = [
+            (f.canonical_key, f.names, render_code(extract_code(f)))
+            for f in stretch_decompose_prime(m)
+        ]
+        assert [k for k, _, _ in sig] == [k for k, _, _ in want]
+        assert sorted(sig) == sorted(want)
+        last = {m.names[m.opp[d] >> 2]: i for i, d in enumerate(m.curve_components[0])}
+        for (k1, n1, _), (k2, n2, _) in zip(sig, sig[1:]):
+            if k1 == k2:
+                assert max(map(last.get, n1)) < max(map(last.get, n2))
 
 
 def test_table_primality(table):

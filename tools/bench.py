@@ -13,10 +13,9 @@ count of ``src/splicecap/*.py`` and the facts of the machine.  It records only: 
 perfbench's traced ``per_layer`` counts are sums over a run, so they grow
 with throughput.  So one ``--trace 1`` run per side and workload, on the
 first seed, is recorded per traced op: ``search.u_minus_calls``,
-``search.u_upper_nodes``, ``surfaces.ak_leaves`` and the self time of
-``search.u_minus``.  The two sides complete different numbers of traced
-ops, so they stop at different points of the input cycle; the counts are
-read from each side's span file,
+``search.u_upper_nodes`` and ``surfaces.ak_leaves``.  The two sides
+complete different numbers of traced ops, so they stop at different points
+of the input cycle; the counts are read from each side's span file,
 ``perfbench/out/spans-<workload>-seed<seed>.jsonl``, over the ops both
 sides completed, op ids ``0 … min − 1``.
 
@@ -27,8 +26,7 @@ after a fixed number of ops (``RSS_OPS``), by running perfbench's own
 
 The descent's work is counted apart from the clock too: in a fresh
 interpreter per side, one pass over seed 3's ``descent`` inputs, each op
-cold, records the keys (``_token_key`` calls in ``search``; a parent
-whose ``search`` keys with ``_token_class`` has that counted), the children
+cold, records the keys (``_token_key`` calls in ``search``), the children
 ``_token_children`` yields and the descent memo entries per op
 (``keys_per_cold_op``).
 
@@ -126,9 +124,7 @@ api = worker.package_api()
 inputs = wl.setup({seed}, api, tracing.Tracer())
 caches = worker.Caches()
 counts = dict.fromkeys(("keys", "children", "memo_entries"), 0)
-# search keys with _token_key; an older checkout keys with _token_class
-key_name = "_token_key" if hasattr(search, "_token_key") else "_token_class"
-token_key, token_children = getattr(search, key_name), search._token_children
+token_key, token_children = search._token_key, search._token_children
 
 def counted_key(*args):
     counts["keys"] += 1
@@ -139,7 +135,7 @@ def counted_children(*args):
         counts["children"] += 1
         yield child
 
-setattr(search, key_name, counted_key)
+search._token_key = counted_key
 search._token_children = counted_children
 for op in inputs:
     caches.reset()
@@ -281,31 +277,19 @@ def _traced_ops(root: Path, workload: str, seed: int) -> int:
 
 
 def _span_counts(root: Path, workload: str, seed: int, ops: int) -> dict:
-    """``TRACED_COUNTS`` and the self time of ``search.u_minus`` per op,
-    over the traced ops ``0 … ops − 1`` of the last traced run in ``root``.
-    A span's line comes before its children's, so one pass over the file
-    finds the self time."""
+    """``TRACED_COUNTS`` per op, over the traced ops ``0 … ops − 1`` of the
+    last traced run in ``root``."""
     path = root / "perfbench" / "out" / f"spans-{workload}-seed{seed}.jsonl"
     totals = dict.fromkeys(TRACED_COUNTS, 0)
-    u_minus_ids = set()
-    self_s = 0.0
     with open(path) as fh:
         for line in fh:
             span = json.loads(line)
-            seconds = span["end"] - span["start"]
-            if span["parent"] in u_minus_ids:
-                self_s -= seconds
             if span["op"] is None or span["op"] >= ops:
                 continue
             for count, (name, field) in TRACED_COUNTS.items():
                 if span["name"] == name:
                     totals[count] += 1 if field is None else span["note"][field]
-            if span["name"] == "search.u_minus":
-                u_minus_ids.add(span["id"])
-                self_s += seconds
-    out = {f"{k}_per_op": v / ops for k, v in totals.items()}
-    out["search.u_minus_self_ms_per_op"] = self_s * 1e3 / ops
-    return out
+    return {f"{k}_per_op": v / ops for k, v in totals.items()}
 
 
 def _fresh_run(root: Path, code: str, what: str) -> dict:
