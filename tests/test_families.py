@@ -289,17 +289,19 @@ def _oracle_inputs(table_maps):
 
 def test_decompose_prime_matches_stretch_oracle(table_maps):
     """The face-pair split gives the factors, names and codes of the split
-    one closing stretch at a time, in the same key order; equal keys come
-    in the order the input's traversal leaves them for good."""
+    one closing stretch at a time, in the same key order. Equal keys come
+    in the order the input's traversal leaves them for the last time; the
+    oracle's ties follow the direction it walks each cut-off piece in."""
+    def signature(factors):
+        return [
+            (f.canonical_key, f.names, render_code(extract_code(f))) for f in factors
+        ]
+
     for m in _oracle_inputs(table_maps):
         got = decompose_prime(m)
         if len(got) == 1 and got[0].n == m.n:
             assert got[0] is m
-        sig = [(f.canonical_key, f.names, render_code(extract_code(f))) for f in got]
-        want = [
-            (f.canonical_key, f.names, render_code(extract_code(f)))
-            for f in stretch_decompose_prime(m)
-        ]
+        sig, want = signature(got), signature(stretch_decompose_prime(m))
         assert [k for k, _, _ in sig] == [k for k, _, _ in want]
         assert sorted(sig) == sorted(want)
         last = {m.names[m.opp[d] >> 2]: i for i, d in enumerate(m.curve_components[0])}
