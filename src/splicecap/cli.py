@@ -101,7 +101,7 @@ def cmd_classify(args) -> None:
         print(f"{entry.name}: {classify_projection(entry.map)}")
 
 
-# family name -> (spec class, usage text); the spec takes one integer per field
+# family name -> (spec class, usage text); the spec takes one ASCII decimal per field
 _FAMILIES = {
     "torus": (Torus, "gen torus <l>"),
     "rational": (Rational, "gen rational <m> <n>"),
@@ -117,7 +117,7 @@ def cmd_gen(args) -> None:
 
 
 def _require(params, count, usage) -> None:
-    if len(params) != count:
+    if len(params) != count or not all(x.isascii() and x.isdigit() for x in params):
         raise SpliceCapError(f"usage: {usage}")
 
 
@@ -161,8 +161,8 @@ def cmd_verify_witness(args) -> None:
         f"s_count={result.s_count} ri_count={result.ri_count}"
     )
     if not result.valid:
-        if result.failed_at is not None:
-            print(f"  failed at step {result.failed_at}: {result.error}")
+        at = "" if result.failed_at is None else f"failed at step {result.failed_at}: "
+        print(f"  {at}{result.error}")
         raise SpliceCapError("witness rejected")
 
 

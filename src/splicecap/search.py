@@ -208,7 +208,8 @@ def verify_witness(p: CurveMap, w: Witness) -> VerifyResult:
                 False, done.s_count, done.ri_count, cur.canonical_key, i, str(exc)
             )
     key = cur.canonical_key
-    return VerifyResult(key == O_KEY, w.s_count, w.ri_count, key)
+    error = None if key == O_KEY else f"replay ends with {cur.n} crossing(s) left"
+    return VerifyResult(error is None, w.s_count, w.ri_count, key, None, error)
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +357,16 @@ def _low(tokens: list[int]) -> int | None:
 
 
 def _child_classes(tokens: list[int]):
-    """The distinct child classes of the kink-free curve with traversal
-    tokens ``tokens``, as ``(key, tokens)``; or ``None`` when a child has
-    value at most one (:func:`_low`), which settles the curve at 2.  No
-    child is keyed before every child is word-tested."""
+    """The children of the kink-free curve with traversal tokens
+    ``tokens``, as token lists; or ``None`` when a child has value at most
+    one (:func:`_low`), which settles the curve at 2.  No child is keyed
+    here: the worklist keys each one when it reads the memo."""
     children = []
     for _, child in _token_children(tokens):
         if _low(child) is not None:
             return None
         children.append(child)
-    kids = {}
-    for child in children:
-        kids.setdefault(_token_key(child), child)
-    return list(kids.items())
+    return children
 
 
 def _u_minus_value(tokens: list[int]) -> int:
@@ -382,8 +380,9 @@ def _u_minus_value(tokens: list[int]) -> int:
     A value of at most one is read off the word (:func:`_low`), so a class
     with such a child is 2.  Otherwise every child is at least 2, and the
     children are evaluated one at a time until one is 2: the class is then
-    3.  A stack entry holds a class's key, its children, the index of the
-    next one and the least child value so far."""
+    3.  A stack entry holds a class's key, its children's tokens, the index
+    of the next one and the least child value so far.  A child is keyed
+    where the memo is read, so a repeated child class is a memo hit."""
     low = _low(tokens)
     if low is not None:
         return low
@@ -395,7 +394,7 @@ def _u_minus_value(tokens: list[int]) -> int:
     while stack:
         key, kids, i, least = frame = stack[-1]
         while kids and i < len(kids) and least > 2:
-            child, child_tokens = kids[i]
+            child = _token_key(kids[i])
             value = memo.get(child)
             if value is None:
                 break
@@ -406,7 +405,7 @@ def _u_minus_value(tokens: list[int]) -> int:
             stack.pop()
             continue
         frame[2:] = i, least
-        stack.append([child, _child_classes(child_tokens), 0, sys.maxsize])
+        stack.append([child, _child_classes(kids[i]), 0, sys.maxsize])
     return memo[root]
 
 

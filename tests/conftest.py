@@ -1,4 +1,6 @@
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from splicecap import (
     s_plus,
     smooth,
 )
-from splicecap.curvemap import dense_opp
+from splicecap.curvemap import O_MAP, dense_opp
 from splicecap.splices import _band_darts, _smooth_pairings, oriented_pairing
 
 # n = 9; the crosscap branching leaves a disconnected remainder on this one
@@ -39,6 +41,26 @@ def table_maps(table):
 @pytest.fixture(scope="session")
 def external_rows():
     return ingest_external(bundled_external_path())
+
+
+@pytest.fixture(scope="session")
+def classes_by_size():
+    """Every one-curve class with one to seven crossings, by crossing
+    number: each layer grown from the one below by the curation tool's
+    ``insertions`` (every ``RI+`` and ``S+``), one map per canonical key."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "enumerate_projections.py"
+    spec = importlib.util.spec_from_file_location("enumerate_projections", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    by_size = {}
+    layer = [O_MAP]
+    for n in range(1, 8):
+        grown = {}
+        for m in layer:
+            for q in module.insertions(m):
+                grown.setdefault(q.canonical_key, q)
+        layer = by_size[n] = list(grown.values())
+    return by_size
 
 
 @pytest.fixture(scope="session")

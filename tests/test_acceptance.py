@@ -140,6 +140,28 @@ def test_criterion_5_crosscap_classes(table):
                 f"in {elapsed:.1f}s")
 
 
+def test_class_theorem_on_every_class_to_seven_crossings(classes_by_size):
+    """The paper's class theorem and its crosscap corollary on every
+    one-curve class with at most seven crossings, kinked and composite ones
+    included: the classifier names ``min(u_minus, 3)``, crosscap is at most
+    ``u_minus``, and crosscap is at most two exactly where ``u_minus`` is,
+    with equality there.  The class counts are those of spherical curves
+    (OEIS A008989)."""
+    sizes = {n: len(maps) for n, maps in classes_by_size.items()}
+    assert sizes == {1: 1, 2: 2, 3: 6, 4: 19, 5: 76, 6: 376, 7: 2194}
+    histogram = Counter()
+    for n, maps in classes_by_size.items():
+        for m in maps:
+            value, cc = u_minus(m)[0], crosscap_alt(m)
+            assert classify_projection(m).index == min(value, 3), m.canonical_key
+            assert cc <= value, m.canonical_key
+            assert (cc <= 2) == (value <= 2), m.canonical_key
+            if value <= 2:
+                assert cc == value, m.canonical_key
+            histogram[n, value, cc] += 1
+    report("class theorem", f"{sum(sizes.values())} classes, {dict(sorted(histogram.items()))}")
+
+
 def test_criterion_6_prime_table_equalities(table, external_rows):
     t0 = time.time()
     rows, summary = verify_observation(table, external_rows, search_nodes=40)

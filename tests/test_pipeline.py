@@ -258,7 +258,8 @@ def test_cli_gen_and_sum(record_file, tmp_path):
 
 def test_cli_gen_builds_family_members(capsys):
     """``gen`` names each record after its family and parameters and prints
-    the family generator's code; a wrong parameter count prints the usage."""
+    the family generator's code; a wrong parameter count, or a parameter
+    that is not an ASCII decimal, prints the usage."""
     cases = [
         (["torus", "3"], "torus_3", gen_torus(3)),
         (["rational", "1", "2"], "rational_1_2", gen_rational(1, 2)),
@@ -275,6 +276,11 @@ def test_cli_gen_builds_family_members(capsys):
     for family, usage in usages.items():
         assert main(["gen", family, "1", "1", "1", "1"]) == 1
         assert capsys.readouterr().err == f"error: usage: {usage}\n"
+        for bad in ("x", "٣", "+3", "-3", "3.0", " 3", ""):
+            params = [bad, *["2"] * (len(usage.split()) - 3)]
+            assert main(["gen", family, *params]) == 1, (family, bad)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: usage: {usage}\n")
     assert main(["gen", "torus", "1"]) == 1
     assert "torus family needs l >= 2" in capsys.readouterr().err
 
@@ -289,6 +295,24 @@ def test_cli_verify_witness(record_file, tmp_path):
     bad.write_text("RI- 1\n")
     res = run_cli("verify-witness", f"{record_file}:3_1", str(bad))
     assert res.returncode == 1
+
+
+def test_cli_verify_witness_says_where_replay_ends(tmp_path):
+    """A witness whose every step is legal but which ends off the circle is
+    rejected with a line saying how many crossings its replay leaves."""
+    records = tmp_path / "records.gauss"
+    records.write_text("k: 1+ 1+\n3_1: 1+ 2+ 3+ 1+ 2+ 3+\n")
+    script = tmp_path / "short.txt"
+    script.write_text("BASE k\nBASE 3_1\nS- 1\n")
+    for name, left in (("k", 1), ("3_1", 2)):
+        res = run_cli("verify-witness", f"{records}:{name}", str(script))
+        assert res.returncode == 1
+        s_count = int(name == "3_1")
+        assert res.stdout == (
+            f"{name}: valid=false s_count={s_count} ri_count=0\n"
+            f"  replay ends with {left} crossing(s) left\n"
+        )
+        assert res.stderr == "error: witness rejected\n"
 
 
 def test_cli_verify_witness_replays_u_minus_output(record_file, tmp_path):

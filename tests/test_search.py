@@ -197,6 +197,7 @@ def test_verify_witness_rejects(trefoil):
     result = verify_witness(trefoil, short)
     assert not result.valid and result.failed_at is None
     assert result.endpoint != O_KEY
+    assert result.error == "replay ends with 2 crossing(s) left"
 
 
 def test_verify_witness_checks_base(table_maps):
