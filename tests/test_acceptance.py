@@ -159,7 +159,8 @@ def test_class_theorem_on_every_class_to_seven_crossings(classes_by_size):
             if value <= 2:
                 assert cc == value, m.canonical_key
             histogram[n, value, cc] += 1
-    report("class theorem", f"{sum(sizes.values())} classes, {dict(sorted(histogram.items()))}")
+    counts = dict(sorted(histogram.items()))
+    report("class theorem", f"{sum(sizes.values())} classes, (n, u-, cc): {counts}")
 
 
 def test_criterion_6_prime_table_equalities(table, external_rows):

@@ -113,6 +113,8 @@ print(json.dumps({{"ops": len(results), "seconds": seconds, "peak_rss_mb": kb / 
 # Keys (``_token_key`` calls in ``search``), children (items that
 # ``_token_children`` yields) and descent memo entries per cold op, over
 # one pass of the ``descent`` inputs with the caches reset before each op.
+# The descent keys a child where it reads the memo, so the keys include a
+# parent's second read of a child once the child is valued.
 KEYS_RUN = """
 import json, sys
 sys.path.insert(0, "perfbench")
