@@ -167,6 +167,12 @@ def cmd_verify_witness(args) -> None:
 
 
 def cmd_verify_table(args) -> None:
+    # a report that cannot be written fails before any row is computed
+    report = Path(args.report)
+    if report.is_dir():
+        raise SpliceCapError(f"--report {args.report} is a directory")
+    if not report.parent.is_dir():
+        raise SpliceCapError(f"--report {args.report}: no directory {report.parent}")
     entries = ingest_table(args.projections)
     external = ingest_external(args.external) if args.external else None
     rows, summary = verify_observation(entries, external)

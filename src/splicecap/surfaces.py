@@ -7,6 +7,9 @@ count, and only the all-oriented (Seifert) state is orientable.  The
 branching algorithm repeatedly turns a smallest face into a state circle
 (faces with one or two corners force their splices, triangles fork into the
 circle-forming and the all-opposite choices) and keeps the best leaves.
+Where the best leaf beats the Seifert state, a non-orientable state attains
+the maximum; only where it ties does a loop of runs anchored at each
+crossing's disoriented smoothing decide whether one does.
 """
 
 from __future__ import annotations
@@ -99,31 +102,34 @@ def ak_min_genus(m: CurveMap) -> AKResult:
     The input is a knot projection (its alternating diagram is implied; all
     quantities here are independent of the over/under pattern).
 
-    The main run yields the maximal Euler characteristic.  Whether a
-    non-orientable state attains it cannot be read off one run (the faces
-    it takes may funnel into the Seifert leaf), so crossings are anchored
-    in turn at their disoriented smoothing and the branching maximizes the
-    rest; that decides the dichotomy exactly.  No state beats ``chi_max``,
-    so the loop stops at the first anchored run that reaches it.
+    The main run yields the maximal Euler characteristic.  Above the
+    Seifert state's chi it is attained by some other state, which is
+    non-orientable, so the dichotomy is settled.  At the Seifert chi it
+    cannot be read off one run (the faces it takes may funnel into the
+    Seifert leaf), so crossings are anchored in turn at their disoriented
+    smoothing and the branching maximizes the rest; that decides the
+    dichotomy exactly.  No state beats ``chi_max``, so the loop stops at
+    the first anchored run that reaches it.
     """
     if components(m) != 1:
         raise MultiComponentError("minimal-genus run needs a knot projection")
     genus = seifert_genus(m)
     circles, leaves = _explore(m)
     chi_max = circles - m.n
-    flag = False
-    for c in range(m.n):
-        anchored = _smooth_pairings(m, {c: 1 - oriented_pairing(m, c)})
-        sub_circles, sub_leaves = _explore(anchored)
-        leaves += sub_leaves
-        if sub_circles > circles:
-            raise InvariantViolation("no anchored run beats the main run")
-        if sub_circles == circles:
-            flag = True
-            break
     chi_seifert = 1 - 2 * genus
-    if chi_max < chi_seifert or not (flag or chi_max == chi_seifert):
+    if chi_max < chi_seifert:
         raise InvariantViolation("branching max must equal the best state")
+    flag = chi_max > chi_seifert
+    if not flag:
+        for c in range(m.n):
+            anchored = _smooth_pairings(m, {c: 1 - oriented_pairing(m, c)})
+            sub_circles, sub_leaves = _explore(anchored)
+            leaves += sub_leaves
+            if sub_circles > circles:
+                raise InvariantViolation("no anchored run beats the main run")
+            if sub_circles == circles:
+                flag = True
+                break
     crosscap = 1 - chi_max if flag else 2 * genus + 1
     return AKResult(chi_max, flag, crosscap, genus, leaves)
 

@@ -1,6 +1,7 @@
 import importlib.util
 from itertools import product
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -11,6 +12,7 @@ from splicecap import (
     bundled_external_path,
     bundled_table_path,
     build_map,
+    connected_sum,
     gen_pretzel,
     gen_rational,
     gen_torus,
@@ -61,6 +63,25 @@ def classes_by_size():
                 grown.setdefault(q.canonical_key, q)
         layer = by_size[n] = list(grown.values())
     return by_size
+
+
+@pytest.fixture(scope="session")
+def descent_sums(table):
+    """Seeded 11-crossing sums of table entries, as the descent benchmark
+    builds them: summands of 3 and 8, 4 and 7, or 5 and 6 crossings, each
+    cut at a random dart."""
+    rng = Random(20)
+    by_n = {}
+    for e in table:
+        by_n.setdefault(e.n, []).append(e.map)
+    out = []
+    for _ in range(20):
+        for na, nb in ((3, 8), (4, 7), (5, 6)):
+            a, b = rng.choice(by_n[na]), rng.choice(by_n[nb])
+            da = rng.choice(a.names), rng.randrange(4)
+            db = rng.choice(b.names), rng.randrange(4)
+            out.append(connected_sum(a, da, b, db))
+    return out
 
 
 @pytest.fixture(scope="session")

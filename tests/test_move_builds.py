@@ -14,7 +14,6 @@ from splicecap import (
     Witness,
     bundled_table_path,
     classify_splice,
-    connected_sum,
     gen_pretzel,
     gen_torus,
     ingest_table,
@@ -64,25 +63,6 @@ def knots(table):
     nine = ingest_table(bundled_table_path().parent / "projections_9.gauss")
     base = [e.map for e in table + nine if len(e.map.curve_components) == 1]
     return base + _kink_grown(base, Random(12))
-
-
-@pytest.fixture(scope="module")
-def descent_sums(table):
-    """Seeded 11-crossing sums of table entries, as the descent benchmark
-    builds them: summands of 3 and 8, 4 and 7, or 5 and 6 crossings, each
-    cut at a random dart."""
-    rng = Random(20)
-    by_n = {}
-    for e in table:
-        by_n.setdefault(e.n, []).append(e.map)
-    out = []
-    for _ in range(20):
-        for na, nb in ((3, 8), (4, 7), (5, 6)):
-            a, b = rng.choice(by_n[na]), rng.choice(by_n[nb])
-            da = rng.choice(a.names), rng.randrange(4)
-            db = rng.choice(b.names), rng.randrange(4)
-            out.append(connected_sum(a, da, b, db))
-    return out
 
 
 @pytest.fixture(scope="module")

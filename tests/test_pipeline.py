@@ -17,6 +17,7 @@ from splicecap import (
     ingest_table,
     verify_observation,
 )
+from splicecap import cli
 from splicecap.cli import main
 from splicecap.curvemap import extract_code, render_code
 from splicecap.families import gen_pretzel, gen_rational, gen_torus
@@ -547,6 +548,25 @@ def test_cli_verify_table_without_prime_records(tmp_path, capsys):
         "error: no prime record to verify (1 non-prime record(s) skipped)\n",
     )
     assert not out.exists()
+
+
+def test_cli_verify_table_checks_report_path_first(tmp_path, capsys, monkeypatch):
+    """A ``--report`` that is a directory, or whose directory is missing,
+    is an input error raised before any row is computed."""
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows computed before the report path was checked")
+
+    monkeypatch.setattr(cli, "verify_observation", no_rows)
+    missing = tmp_path / "missing" / "report.csv"
+    for report, error in (
+        (tmp_path, f"--report {tmp_path} is a directory"),
+        (missing, f"--report {missing}: no directory {missing.parent}"),
+    ):
+        argv = ["verify-table", "--projections", str(bundled_table_path())]
+        code = main([*argv, "--report", str(report)])
+        assert (code, *capsys.readouterr()) == (1, "", f"error: {error}\n")
+    assert not missing.parent.exists()
 
 
 def test_cli_input_error(tmp_path):

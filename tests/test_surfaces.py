@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -12,6 +13,7 @@ from splicecap import (
     ak_min_genus,
     apply_state,
     build_map,
+    bundled_table_path,
     check_upper_bound,
     connected_sum,
     crosscap_alt,
@@ -19,6 +21,7 @@ from splicecap import (
     gen_pretzel,
     gen_rational,
     gen_torus,
+    ingest_table,
     is_seifert_state,
     parse_code,
     ri_plus,
@@ -234,8 +237,9 @@ def one_band_children(table):
 
 
 def full_anchor_loop(m):
-    """``ak_min_genus`` as it was before the anchor loop stopped early:
-    every crossing anchored at its disoriented smoothing."""
+    """``ak_min_genus`` as it was before the anchor loop stopped early and
+    before it was skipped: every crossing anchored at its disoriented
+    smoothing."""
     chi_max = _explore(m)[0] - m.n
     best_non = max(
         _explore(_smooth_pairings(m, {c: 1 - oriented_pairing(m, c)}))[0] - m.n
@@ -246,15 +250,44 @@ def full_anchor_loop(m):
     return chi_max, flag, 1 - chi_max if flag else 2 * genus + 1, genus
 
 
-def test_anchor_early_exit_matches_full_loop(one_band_children):
-    checked = 0
-    for entry, children in one_band_children:
-        for m in [entry.map, *children]:
-            r = ak_min_genus(m)
-            got = (r.chi_max, r.nonorientable_at_max, r.crosscap, r.genus)
-            assert got == full_anchor_loop(m), entry.name
-            checked += 1
-    assert checked == 45 + 374
+def test_anchor_early_exit_matches_full_loop(
+    one_band_children, classes_by_size, descent_sums
+):
+    """The branching equals the full anchor loop on the table and its
+    one-band children, every class with at most seven crossings, the
+    nine-crossing records, the family members up to 14 crossings and the
+    seeded 11-crossing sums.  Where ``chi_max`` beats the Seifert chi no
+    anchored run is made: the leaves are the main run's.  Elsewhere the
+    loop runs, and where only the Seifert state is maximal it runs to its
+    end, over every crossing."""
+    nine = ingest_table(bundled_table_path().parent / "projections_9.gauss")
+    cases = [(e.name, m) for e, kids in one_band_children for m in [e.map, *kids]]
+    cases += [(m.canonical_key, m) for maps in classes_by_size.values() for m in maps]
+    cases += [(e.name, e.map) for e in nine if len(e.map.curve_components) == 1]
+    cases += family_members(14)
+    cases += [(f"sum {i}", m) for i, m in enumerate(descent_sums)]
+    branches = Counter()
+    for name, m in cases:
+        r = ak_min_genus(m)
+        got = (r.chi_max, r.nonorientable_at_max, r.crosscap, r.genus)
+        assert got == full_anchor_loop(m), name
+        main_leaves = _explore(m)[1]
+        if r.chi_max > 1 - 2 * r.genus:
+            branches["skipped"] += 1
+            assert r.branch_count == main_leaves, name
+        elif r.nonorientable_at_max:
+            branches["anchored hit"] += 1
+            assert r.branch_count > main_leaves, name
+        else:
+            branches["Seifert only"] += 1
+            every = sum(
+                _explore(_smooth_pairings(m, {c: 1 - oriented_pairing(m, c)}))[1]
+                for c in range(m.n)
+            )
+            assert r.branch_count == main_leaves + every, name
+    assert len(cases) == 3309
+    # the counts follow from the values alone, not from the faces the runs take
+    assert branches == {"skipped": 1305, "anchored hit": 525, "Seifert only": 1479}
 
 
 def test_one_band_lowers_crosscap_by_at_most_one(one_band_children):

@@ -28,7 +28,11 @@ The descent's work is counted apart from the clock too: in a fresh
 interpreter per side, one pass over seed 3's ``descent`` inputs, each op
 cold, records the keys (``_token_key`` calls in ``search``), the children
 ``_token_children`` yields and the descent memo entries per op
-(``keys_per_cold_op``).
+(``keys_per_cold_op``).  In the same way, one cold pass over seed 3's
+inputs of each workload counts the minimal-genus runs (``ak_min_genus``
+calls) and the anchored branching runs among them (``_explore`` calls
+beyond one main run per ``ak_min_genus`` call) per op
+(``anchored_runs_per_op``).
 
 It also times scale probes that the 50 s workloads cannot reach, three
 times per side, alternating which side runs first, each in a fresh
@@ -60,8 +64,8 @@ The parent checkout is any directory holding the parent commit's files (a
     python3 tools/bench.py <parent checkout> BENCH_<n>.json
 
 The twelve runs take about 13 minutes on a 2-vCPU machine, the four traced
-runs about 6 more, the fixed-count RSS runs about 2 more, the key counts
-under one, and the probes about 11 more (at most 120, if every reading times out).
+runs about 6 more, the fixed-count RSS runs about 2 more, the key and
+anchored-run counts under one, and the probes about 11 more (at most 120, if every reading times out).
 """
 
 from __future__ import annotations
@@ -145,6 +149,39 @@ for op in inputs:
     counts["memo_entries"] += len(caches.memo) - len(caches.memo_initial)
 ops = len(inputs)
 print(json.dumps({{"ops": ops}} | {{f"{{k}}_per_op": v / ops for k, v in counts.items()}}))
+"""
+# Minimal-genus runs (``ak_min_genus`` calls) and anchored runs (``_explore``
+# calls beyond each one's main run) per cold op, over one pass of a
+# workload's inputs with the caches reset before each op.
+ANCHORS_RUN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import worker, tracing
+from workloads import WORKLOADS, fresh
+from splicecap import surfaces
+wl = WORKLOADS[{workload!r}]
+api = worker.package_api()
+inputs = wl.setup({seed}, api, tracing.Tracer())
+caches = worker.Caches()
+counts = dict.fromkeys(("ak_min_genus", "explore"), 0)
+
+def counting(name, fn):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+    return counted
+
+surfaces.ak_min_genus = counting("ak_min_genus", surfaces.ak_min_genus)
+surfaces._explore = counting("explore", surfaces._explore)
+for op in inputs:
+    caches.reset()
+    wl.run(api, op, fresh(op.map))
+ops = len(inputs)
+print(json.dumps({{
+    "ops": ops,
+    "ak_min_genus_per_op": counts["ak_min_genus"] / ops,
+    "anchored_runs_per_op": (counts["explore"] - counts["ak_min_genus"]) / ops,
+}}))
 """
 # name -> (set-up building ``m`` from the package ``sc``, the timed call)
 PROBES = {
@@ -318,6 +355,12 @@ def _keys_per_op(root: Path, seed: int) -> dict:
     return _fresh_run(root, KEYS_RUN.format(seed=seed), "descent key count")
 
 
+def _anchored_runs_per_op(root: Path, workload: str, seed: int) -> dict:
+    """``ANCHORS_RUN``'s counts per cold op of ``workload`` in ``root``."""
+    code = ANCHORS_RUN.format(workload=workload, seed=seed)
+    return _fresh_run(root, code, f"{workload} anchored-run count")
+
+
 def _probe(root: Path, setup: str, call: str) -> dict | str:
     """One scale probe in a fresh interpreter importing ``root``'s package:
     ``{"value", "seconds"}``, ``"timeout"``, or ``{"error"}``."""
@@ -415,6 +458,13 @@ def main(argv=None) -> int:
         side: _keys_per_op(roots[side], SEEDS[0]) for side in roots
     }
     print(f"keys per cold descent op: {report['keys_per_cold_op']}", file=sys.stderr)
+    report["anchored_runs_per_op"] = {"seed": SEEDS[0]} | {
+        workload: {
+            side: _anchored_runs_per_op(roots[side], workload, SEEDS[0]) for side in roots
+        }
+        for workload in WORKLOADS
+    }
+    print(f"anchored runs per cold op: {report['anchored_runs_per_op']}", file=sys.stderr)
     report["probes"] = {"timeout_s": PROBE_TIMEOUT_S, "repeats": PROBE_REPEATS}
     turn = 0
     for name, (setup, call) in PROBES.items():
